@@ -37,10 +37,10 @@ from repro.experiments.parallel_scaling import (
 SPEEDUP_FLOOR = 2.0
 
 
-def test_bench_parallel(benchmark, artifact_writer):
+def test_bench_parallel(benchmark, host_artifact_writer):
     result = benchmark.pedantic(run_parallel_scaling, rounds=1,
                                 iterations=1)
-    artifact_writer("parallel", result.render())
+    host_artifact_writer("parallel", result.render())
     print(result.render())
 
     # One serial-direct context row plus every worker count.

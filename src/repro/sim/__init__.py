@@ -7,8 +7,9 @@ deterministic discrete-event simulation (DES) kernel in the style of SimPy.
 * :mod:`repro.sim.engine` — the event loop: :class:`Simulator`,
   generator-based :class:`Process` coroutines, timeouts, condition
   events, cancellation and event-object recycling.
-* :mod:`repro.sim.queues` — pluggable pending-event backends: the
-  calendar-queue/timer-wheel (default) and the classic binary heap.
+* :mod:`repro.sim.queues` — the pending-event queue: a binary heap
+  served in ``(time, priority, sequence)`` order, with lazy
+  cancellation.
 * :mod:`repro.sim.resources` — contention primitives (:class:`Resource`,
   :class:`Store`) used to model serialized controllers and queues.
 * :mod:`repro.sim.rng` — named, reproducible random-number streams.
@@ -27,14 +28,8 @@ from repro.sim.engine import (
     Process,
     Simulator,
     Timeout,
-    default_queue_backend,
 )
-from repro.sim.queues import (
-    CalendarEventQueue,
-    EventQueue,
-    HeapEventQueue,
-    QUEUE_BACKENDS,
-)
+from repro.sim.queues import EventQueue, HeapEventQueue
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngRegistry, stable_stream_seed
 from repro.sim.trace import TraceRecord, Tracer
@@ -42,14 +37,12 @@ from repro.sim.trace import TraceRecord, Tracer
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarEventQueue",
     "ControlContext",
     "Event",
     "EventQueue",
     "HeapEventQueue",
     "Interrupt",
     "Process",
-    "QUEUE_BACKENDS",
     "Resource",
     "RngRegistry",
     "Simulator",
@@ -57,7 +50,6 @@ __all__ = [
     "Timeout",
     "TraceRecord",
     "Tracer",
-    "default_queue_backend",
     "run_sync",
     "stable_stream_seed",
 ]

@@ -30,9 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.errors import SimulationError
 from repro.sim.engine import ProcessGenerator, Simulator
-from repro.sim.queues import QueueLike
 from repro.sim.resources import Request, Resource
 from repro.sim.trace import Tracer
 
@@ -53,13 +51,8 @@ class ControlContext:
 
     def __init__(self, sim: Optional[Simulator] = None,
                  reservation_capacity: int = 1,
-                 tracer: Optional[Tracer] = None,
-                 queue: QueueLike = None) -> None:
-        if sim is not None and queue is not None:
-            raise SimulationError(
-                "pass either an existing simulator or a queue backend "
-                "for a new one, not both")
-        self.sim = sim if sim is not None else Simulator(queue=queue)
+                 tracer: Optional[Tracer] = None) -> None:
+        self.sim = sim if sim is not None else Simulator()
         self.reservation = Resource(self.sim,
                                     capacity=reservation_capacity)
         self._domains: dict[str, Resource] = {}

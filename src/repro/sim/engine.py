@@ -14,11 +14,8 @@ library: timeouts, process joining, failure propagation, interrupts,
 Throughput machinery (the kernel is a product metric — see
 ``experiments/kernel_bench.py``):
 
-* the pending-event structure is pluggable
-  (:mod:`repro.sim.queues`): ``Simulator(queue="calendar")`` selects
-  the calendar-queue/timer-wheel backend (the default — O(1) for the
-  short-delay timeout swarms of the data mover and control plane),
-  ``queue="heap"`` the classic binary heap;
+* pending events live in one binary heap of entry tuples
+  (:class:`~repro.sim.queues.HeapEventQueue`);
 * ``run()`` drives a tight inlined loop instead of calling
   :meth:`Simulator.step` per event;
 * processed :class:`Timeout`, :class:`Event`, :class:`AllOf` and
@@ -31,53 +28,27 @@ Throughput machinery (the kernel is a product metric — see
   longer ride the queue to end-of-run as tombstones.
 
 Every behaviour above preserves determinism: the
-``(time, priority, sequence)`` total order is unique, so any backend
-and any pooling decision produces bit-identical simulations.
+``(time, priority, sequence)`` total order is unique, so any pooling
+decision produces bit-identical simulations.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from sys import getrefcount
-from typing import Any, Callable, Generator, Iterable, Iterator, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.queues import EventQueue, QueueLike, make_queue
+from repro.sim.queues import HeapEventQueue
 
 #: Default scheduling priority; lower numbers run first at equal times.
 NORMAL_PRIORITY = 1
 #: Priority used for immediate resumption of processes (runs before normal).
 URGENT_PRIORITY = 0
 
-#: Queue backend used by ``Simulator()`` when none is requested.
-DEFAULT_QUEUE_BACKEND = "calendar"
-
 #: Per-pool cap on recycled event objects (bounds idle pool memory).
 POOL_LIMIT = 1024
 
 _INF = float("inf")
-
-
-@contextmanager
-def default_queue_backend(name: str) -> Iterator[None]:
-    """Temporarily change the backend new :class:`Simulator`\\ s use.
-
-    Lets benchmarks and tests run unmodified multi-simulator code
-    (control plane, federation) on a chosen backend without threading a
-    parameter through every constructor::
-
-        with default_queue_backend("heap"):
-            run_federation(...)
-    """
-    global DEFAULT_QUEUE_BACKEND
-    previous = DEFAULT_QUEUE_BACKEND
-    # Fail fast on unknown names before any simulator is built.
-    make_queue(name)
-    DEFAULT_QUEUE_BACKEND = name
-    try:
-        yield
-    finally:
-        DEFAULT_QUEUE_BACKEND = previous
 
 
 class Event:
@@ -468,10 +439,9 @@ class AnyOf(_Condition):
 class Simulator:
     """The event loop: owns the clock and the pending-event queue."""
 
-    def __init__(self, queue: QueueLike = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self._queue: EventQueue = make_queue(
-            queue, default=DEFAULT_QUEUE_BACKEND)
+        self._queue = HeapEventQueue()
         self._sequence = 0
         self._events_processed = 0
         # Free lists of processed event objects, keyed by exact type
@@ -491,11 +461,6 @@ class Simulator:
     def events_processed(self) -> int:
         """Total events processed so far (the bench's events/sec base)."""
         return self._events_processed
-
-    @property
-    def queue_backend(self) -> str:
-        """Name of the active event-queue backend."""
-        return self._queue.name
 
     @property
     def queue_peak_size(self) -> int:

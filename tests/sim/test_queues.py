@@ -1,10 +1,11 @@
-"""Unit and property tests for the pluggable pending-event backends.
+"""Unit and property tests for the kernel's pending-event queue.
 
-The determinism contract: every backend serves the same total order
-``(time, priority, sequence)``, so a heap-backed and a calendar-backed
-run of the same workload are bit-identical.  The property tests here
-enforce that by replaying randomized workloads (pushes, pops, horizon
-pops, cancellations) against both backends in lockstep.
+The determinism contract: the queue serves the total order
+``(time, priority, sequence)``, never surfaces a cancelled entry and
+counts only live entries.  The property tests replay randomized op
+tapes (pushes, pops, horizon pops, cancellations) against
+:class:`HeapEventQueue` and against a sorted-list reference that
+states the contract directly, and require identical histories.
 """
 
 from __future__ import annotations
@@ -14,19 +15,8 @@ import random
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim.engine import (
-    NORMAL_PRIORITY,
-    URGENT_PRIORITY,
-    Simulator,
-    default_queue_backend,
-)
-from repro.sim.queues import (
-    QUEUE_BACKENDS,
-    CalendarEventQueue,
-    HeapEventQueue,
-    make_queue,
-)
+from repro.sim.engine import NORMAL_PRIORITY, URGENT_PRIORITY, Simulator
+from repro.sim.queues import HeapEventQueue
 
 
 class _Token:
@@ -48,17 +38,12 @@ def _drain(queue):
     return entries
 
 
-@pytest.fixture(params=sorted(QUEUE_BACKENDS))
-def queue(request):
-    """Each registered backend, same test body."""
-    return QUEUE_BACKENDS[request.param]()
+@pytest.fixture
+def queue():
+    return HeapEventQueue()
 
 
 class TestBackendContract:
-    def test_registry_names_match_classes(self):
-        for name, cls in QUEUE_BACKENDS.items():
-            assert cls.name == name
-
     def test_pop_empty_returns_none(self, queue):
         assert queue.pop() is None
         assert queue.pop_until(1e9) is None
@@ -123,57 +108,42 @@ class TestBackendContract:
         assert queue.peak_size == 5
 
 
-class TestCalendarMechanics:
-    def test_slot_count_must_be_power_of_two(self):
-        with pytest.raises(SimulationError):
-            CalendarEventQueue(slot_count=24)
+class _SortedReference:
+    """The queue contract stated directly, with no structure to get wrong.
 
-    def test_grows_and_shrinks_through_a_population_wave(self):
-        queue = CalendarEventQueue()
-        token = _Token()
-        count = 4 * queue._grow_at
-        for index in range(count):
-            queue.push(index * 1e-3, NORMAL_PRIORITY, index, token)
-        assert queue._count > CalendarEventQueue.MIN_SLOTS
-        grown = queue._count
-        popped = _drain(queue)
-        assert len(popped) == count
-        assert popped == sorted(popped)
-        assert queue._count < grown  # shrank back down while draining
+    Every operation scans all entries: pop the minimum
+    ``(time, priority, sequence)`` among the live ones; ``len`` counts
+    the live ones.  Cancellation needs no bookkeeping at all.
+    """
 
-    def test_far_future_gap_served_via_jump(self):
-        queue = CalendarEventQueue()
-        token = _Token()
-        queue.push(0.001, NORMAL_PRIORITY, 0, token)
-        queue.push(1_000.0, NORMAL_PRIORITY, 1, token)
-        assert queue.pop()[0] == 0.001
-        assert queue.pop()[0] == 1_000.0
+    def __init__(self) -> None:
+        self._entries: dict[int, tuple] = {}
 
-    def test_pathological_same_slot_flood_falls_back_to_heap(self):
-        # Thousands of entries at one instant after a wide-span install:
-        # every entry lands in one slot, the cursor sweeps fruitlessly,
-        # and the backstop collapses the structure into a plain heap --
-        # order must survive the transition.
-        queue = CalendarEventQueue()
-        token = _Token()
-        queue.push(0.0, NORMAL_PRIORITY, 0, token)
-        queue.push(10_000.0, NORMAL_PRIORITY, 1, token)
-        for index in range(2, 500):
-            queue.push(5_000.0, NORMAL_PRIORITY, index, token)
-        entries = _drain(queue)
-        assert entries == sorted(entries)
-        assert len(entries) == 500
+    def _live(self) -> list:
+        return [entry for entry in self._entries.values()
+                if not entry[3]._cancelled]
 
-    def test_push_before_cursor_window_still_serves_in_order(self):
-        queue = CalendarEventQueue()
-        token = _Token()
-        for index in range(64):
-            queue.push(1.0 + index * 0.25, NORMAL_PRIORITY, index, token)
-        assert queue.pop()[0] == 1.0
-        # Earlier than the served head: must not be lost behind the
-        # cursor even though its natural slot has already been passed.
-        queue.push(1.01, NORMAL_PRIORITY, 999, token)
-        assert queue.pop()[2] == 999
+    def push(self, time, priority, sequence, event) -> None:
+        self._entries[sequence] = (time, priority, sequence, event)
+
+    def pop_until(self, horizon):
+        live = self._live()
+        if not live:
+            return None
+        head = min(live, key=lambda entry: entry[:3])
+        if head[0] > horizon:
+            return None
+        del self._entries[head[2]]
+        return head
+
+    def pop(self):
+        return self.pop_until(math.inf)
+
+    def note_cancel(self, event) -> None:
+        pass
+
+    def __len__(self) -> int:
+        return len(self._live())
 
 
 def _random_workload(rng, operations):
@@ -194,105 +164,64 @@ def _random_workload(rng, operations):
             tape.append(("push", delay, priority))
         elif roll < 0.8:
             tape.append(("pop",))
-        elif roll < 0.9:
+        elif roll < 0.85:
             tape.append(("pop_until", rng.uniform(0.0, 50.0)))
+        elif roll < 0.9:
+            # Horizon exactly at the next live entry's time: the
+            # inclusive edge that a continuous draw never hits.
+            tape.append(("pop_until_next",))
         else:
             tape.append(("cancel", rng.randrange(1, 8)))
     return tape
 
 
-def _replay(backend_cls, tape):
-    """Run the op tape; returns the observable history."""
-    queue = backend_cls()
+def _replay(queue, tape):
+    """Run the op tape on *queue*; returns the observable history."""
     history = []
     pending = {}
     sequence = 0
     now = 0.0
     for op in tape:
-        if op[0] == "push":
+        kind = op[0]
+        if kind == "push":
             _, delay, priority = op
             token = _Token()
             queue.push(now + delay, priority, sequence, token)
-            pending[sequence] = token
+            pending[sequence] = (now + delay, token)
             sequence += 1
-        elif op[0] == "pop":
-            entry = queue.pop()
-            if entry is not None:
-                now = entry[0]
-                pending.pop(entry[2], None)
-            history.append(entry[:3] if entry else None)
-        elif op[0] == "pop_until":
-            entry = queue.pop_until(now + op[1])
-            if entry is not None:
-                now = entry[0]
-                pending.pop(entry[2], None)
-            history.append(entry[:3] if entry else None)
-        else:  # cancel the n-th oldest pending entry, if any
+        elif kind == "cancel":  # the n-th oldest pending entry, if any
             live = sorted(pending)
             if live:
                 victim = live[min(op[1], len(live)) - 1]
-                token = pending.pop(victim)
+                _, token = pending.pop(victim)
                 token._cancelled = True
                 queue.note_cancel(token)
+        else:
+            if kind == "pop":
+                entry = queue.pop()
+            elif kind == "pop_until":
+                entry = queue.pop_until(now + op[1])
+            else:  # pop_until_next
+                entry = queue.pop_until(min(
+                    (time for time, _ in pending.values()), default=now))
+            if entry is not None:
+                now = entry[0]
+                pending.pop(entry[2], None)
+            history.append(entry[:3] if entry else None)
         history.append(len(queue))
-    while True:
-        entry = queue.pop()
-        if entry is None:
-            break
-        history.append(entry[:3])
+    history.extend(_drain(queue))
     return history
 
 
-class TestBackendEquivalence:
+class TestAgainstReference:
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_workloads_identical_across_backends(self, seed):
+    def test_random_workloads_match_sorted_reference(self, seed):
         tape = _random_workload(random.Random(seed), operations=400)
-        histories = [_replay(QUEUE_BACKENDS[name], tape)
-                     for name in sorted(QUEUE_BACKENDS)]
-        assert histories[0] == histories[1]
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_simulations_bit_identical_across_backends(self, seed):
-        def run(backend):
-            rng = random.Random(seed)
-            sim = Simulator(queue=backend)
-            log = []
-
-            def worker(name):
-                for _ in range(20):
-                    yield sim.timeout(rng.uniform(0.0, 2.0))
-                    log.append((name, sim.now))
-
-            for name in range(10):
-                sim.process(worker(name))
-            sim.run()
-            return log, sim.now, sim.events_processed
-
-        assert run("heap") == run("calendar")
+        assert (_replay(HeapEventQueue(), tape)
+                == _replay(_SortedReference(), tape))
 
 
-class TestBackendSelection:
-    def test_make_queue_accepts_names_and_instances(self):
-        assert isinstance(make_queue("heap"), HeapEventQueue)
-        assert isinstance(make_queue("calendar"), CalendarEventQueue)
-        custom = HeapEventQueue()
-        assert make_queue(custom) is custom
-
-    def test_make_queue_rejects_unknown_backend(self):
-        with pytest.raises(SimulationError,
-                           match="unknown event-queue backend"):
-            make_queue("fibonacci")
-
-    def test_simulator_reports_backend(self):
-        assert Simulator(queue="heap").queue_backend == "heap"
-        assert Simulator(queue="calendar").queue_backend == "calendar"
-
-    def test_default_backend_contextmanager(self):
-        with default_queue_backend("heap"):
-            assert Simulator().queue_backend == "heap"
-        with default_queue_backend("calendar"):
-            assert Simulator().queue_backend == "calendar"
-
+class TestSimulatorQueue:
     def test_queue_peak_size_visible_on_simulator(self):
         sim = Simulator()
         for _ in range(7):
