@@ -144,9 +144,6 @@ class ControlPlane:
         self._gate: Optional[Event] = None
         #: Offloaded batches whose brick-side tail is still in flight.
         self._detached = 0
-        #: brick_id -> (allocator version, fragmentation) — the
-        #: incremental fragmentation cache (see :meth:`_fragmentation`).
-        self._frag_cache: dict[str, tuple[int, float]] = {}
 
         self.manager: Optional[ElasticMemoryManager] = None
         self._rebalance_interval_s = rebalance_interval_s
@@ -423,28 +420,15 @@ class ControlPlane:
         return candidates[0].brick_id
 
     def _fragmentation(self) -> float:
-        """Mean free-space fragmentation across healthy memory bricks.
-
-        Computed **incrementally**: each brick's fragmentation is
-        cached keyed on its allocator's mutation ``version``, so a
-        completion sample only recomputes the free-list statistics of
-        bricks that actually changed since the previous sample —
-        O(changed bricks) span walks instead of O(all bricks) on every
-        request completion.
-        """
+        """Mean free-space fragmentation across healthy memory bricks
+        (O(1) per unchanged brick: allocators cache their largest span)."""
         entries = [e for e in self.system.sdm.registry.memory_entries
                    if not e.failed]
         if not entries:
             return 0.0
         total = 0.0
-        for entry in entries:
-            allocator = entry.allocator
-            brick_id = entry.brick.brick_id
-            cached = self._frag_cache.get(brick_id)
-            if cached is None or cached[0] != allocator.version:
-                cached = (allocator.version, allocator.fragmentation)
-                self._frag_cache[brick_id] = cached
-            total += cached[1]
+        for entry in entries:  # not sum(): compensated on Python >= 3.12
+            total += entry.allocator.fragmentation
         return total / len(entries)
 
     # -- failure reactions --------------------------------------------------

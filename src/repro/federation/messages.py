@@ -128,13 +128,12 @@ class DrainedReply:
 
 @dataclass(frozen=True)
 class PodStatus:
-    """One pod's load, measured at a window barrier.
+    """One pod's load, as :func:`measure_pod` reads it.
 
-    The same quantities :meth:`~repro.federation.placer.GlobalPlacer.
-    snapshot` reads directly in the serial federation, plus the
-    utilization/idleness the rebalancer's planning needs — everything
-    coordinator-side policy consumes, so no policy ever needs a live
-    object from another process.
+    The quantities :meth:`~repro.federation.placer.GlobalPlacer.
+    snapshot` scores, plus the utilization/idleness the rebalancer's
+    planning needs — everything coordinator-side policy consumes, so
+    no policy ever needs a live object from another process.
     """
 
     free_memory_bytes: int
@@ -159,23 +158,14 @@ def measure_pod(system, plane, alive: bool = True) -> PodStatus:
     this, so placement decisions see identical numbers on either
     backend.
     """
-    registry = system.sdm.registry
-    entries = [e for e in registry.memory_entries if not e.failed]
-    fragmentation = (
-        sum(e.allocator.fragmentation for e in entries) / len(entries)
-        if entries else 0.0)
-    allocated = sum(e.allocator.allocated_bytes for e in entries)
-    free = sum(e.allocator.free_bytes for e in entries)
+    load = system.sdm.registry.pod_load()
     return PodStatus(
-        free_memory_bytes=sum(
-            a.free_bytes for a in registry.memory_availability()),
-        free_cores=sum(c.free_cores
-                       for c in registry.compute_availability()),
+        free_memory_bytes=load.free_bytes,
+        free_cores=load.free_cores,
         queue_depth=(plane.admission.size
                      + plane.ctx.total_reservation_queue_depth),
-        fragmentation=fragmentation,
-        utilization=allocated / (allocated + free)
-        if allocated + free else 0.0,
+        fragmentation=load.fragmentation,
+        utilization=load.utilization,
         idle=plane.is_idle(),
         alive=alive,
     )

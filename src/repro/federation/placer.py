@@ -138,11 +138,11 @@ class GlobalPlacer:
     def bind(self, pods: Mapping[str, object]) -> None:
         """Attach the placer to the federation's live pods.
 
-        *pods* maps pod id to an object exposing ``system`` (a
-        :class:`~repro.core.system.DisaggregatedSystem`) and ``plane``
-        (its :class:`~repro.cluster.control_plane.ControlPlane`) — the
-        federation's :class:`~repro.federation.controller.FederatedPod`
-        records.
+        *pods* maps pod id to an object exposing ``load_snapshot()``
+        (a :class:`~repro.federation.messages.PodStatus`) and, optionally,
+        ``alive``/``draining`` flags — the federation's
+        :class:`~repro.federation.controller.FederatedPod` records or
+        the parallel federation's coordinator-side handles.
         """
         if not pods:
             raise FederationError("placer needs at least one pod")
@@ -194,44 +194,23 @@ class GlobalPlacer:
     # -- load snapshots ------------------------------------------------------
 
     def snapshot(self, pod_id: str) -> PodSnapshot:
-        """Current load of *pod_id*.
+        """Current load of *pod_id*, with the placer's outstanding claims.
 
-        Pods exposing ``load_snapshot()`` (the federation's
-        :class:`~repro.federation.controller.FederatedPod`, or the
-        parallel federation's coordinator-side handles serving their
-        last barrier status) are measured through it; plain test
-        doubles fall back to direct registry/control-plane reads.
+        Measured through the pod's ``load_snapshot()``: a
+        :class:`~repro.federation.controller.FederatedPod` measures
+        itself, the parallel federation's coordinator-side handles
+        serve their last barrier status.
         """
         pod = self._pods.get(pod_id)
         if pod is None:
             raise FederationError(f"unknown pod {pod_id!r}")
-        loader = getattr(pod, "load_snapshot", None)
-        if loader is not None:
-            status = loader()
-            return PodSnapshot(
-                pod_id=pod_id,
-                free_memory_bytes=status.free_memory_bytes,
-                free_cores=status.free_cores,
-                queue_depth=status.queue_depth,
-                fragmentation=status.fragmentation,
-                claimed_bytes=self._claimed_bytes.get(pod_id, 0),
-                claimed_cores=self._claimed_cores.get(pod_id, 0),
-            )
-        registry = pod.system.sdm.registry
-        memory = registry.memory_availability()
-        entries = [e for e in registry.memory_entries if not e.failed]
-        fragmentation = (
-            sum(e.allocator.fragmentation for e in entries) / len(entries)
-            if entries else 0.0)
-        plane = pod.plane
+        status = pod.load_snapshot()
         return PodSnapshot(
             pod_id=pod_id,
-            free_memory_bytes=sum(a.free_bytes for a in memory),
-            free_cores=sum(c.free_cores
-                           for c in registry.compute_availability()),
-            queue_depth=(plane.admission.size
-                         + plane.ctx.total_reservation_queue_depth),
-            fragmentation=fragmentation,
+            free_memory_bytes=status.free_memory_bytes,
+            free_cores=status.free_cores,
+            queue_depth=status.queue_depth,
+            fragmentation=status.fragmentation,
             claimed_bytes=self._claimed_bytes.get(pod_id, 0),
             claimed_cores=self._claimed_cores.get(pod_id, 0),
         )

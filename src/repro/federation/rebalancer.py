@@ -72,23 +72,6 @@ class FederationRebalancer:
 
     # -- one draining pass ---------------------------------------------------
 
-    @staticmethod
-    def pod_utilization(pod) -> float:
-        """Fraction of the pod's memory pool currently allocated.
-
-        Measured through the pod's ``load_snapshot()`` when it has one
-        (the shared wire-protocol measurement); direct registry reads
-        otherwise (plain test doubles).
-        """
-        loader = getattr(pod, "load_snapshot", None)
-        if loader is not None:
-            return loader().utilization
-        entries = [e for e in pod.system.sdm.registry.memory_entries
-                   if not e.failed]
-        allocated = sum(e.allocator.allocated_bytes for e in entries)
-        total = allocated + sum(e.allocator.free_bytes for e in entries)
-        return allocated / total if total else 0.0
-
     def pass_process(self) -> ProcessGenerator:
         """One pass: migrate up to the per-pass budget of tenants."""
         self.report.passes += 1
@@ -123,7 +106,7 @@ class FederationRebalancer:
         fed = self.federation
         # Failed pods neither donate nor receive: their planes are
         # paused, so a drain involving one would park until repair.
-        loads = {pod_id: self.pod_utilization(pod)
+        loads = {pod_id: pod.load_snapshot().utilization
                  for pod_id, pod in fed.pods.items() if pod.alive}
         if len(loads) < 2:
             return None

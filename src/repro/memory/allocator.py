@@ -40,10 +40,11 @@ class SegmentAllocator:
         #: statistics the placement policies poll per decision are O(1)
         #: instead of rescanning every live allocation.
         self._allocated_bytes = 0
-        #: Mutation counter, bumped by every allocate/free.  Consumers
-        #: caching derived statistics (e.g. the control plane's
-        #: incremental fragmentation gauge) key their cache on it.
+        #: Mutation counter, bumped by allocate/free, the only writers
+        #: of the free list.  The largest free span below and each
+        #: brick's registry availability snapshot are cached against it.
         self.version = 0
+        self._largest_span = (0, capacity_bytes)  # (version, size)
 
     # -- allocation --------------------------------------------------------------
 
@@ -135,8 +136,13 @@ class SegmentAllocator:
 
     @property
     def largest_free_span(self) -> int:
-        """Size of the biggest contiguous free span (0 when full)."""
-        return max((span.size for span in self._free), default=0)
+        """Size of the biggest contiguous free span (0 when full),
+        rescanned only after the free list changed."""
+        version, size = self._largest_span
+        if version != self.version:
+            size = max((span.size for span in self._free), default=0)
+            self._largest_span = (self.version, size)
+        return size
 
     @property
     def utilization(self) -> float:

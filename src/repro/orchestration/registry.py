@@ -11,6 +11,7 @@ scale; single-rack deployments may leave ``rack_id`` empty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import OrchestrationError
 from repro.hardware.bricks import ComputeBrick, MemoryBrick
@@ -53,6 +54,10 @@ class MemoryEntry:
     #: Ironic-style provisioning state (see :mod:`repro.orchestration.
     #: lifecycle`); the allocator's ``accepting`` gate shadows it.
     lifecycle: BrickLifecycle = field(default=None)  # type: ignore[assignment]
+    #: ``(allocator.version, brick.is_powered, snapshot)`` of the last
+    #: :meth:`ResourceRegistry.memory_availability` read of this brick.
+    availability: tuple[int, bool, MemoryAvailability] | None = field(
+        default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,6 +82,16 @@ class MemoryAvailability:
     utilization: float
     powered: bool
     rack_id: str = ""
+
+
+class PodLoad(NamedTuple):
+    """Free bytes and cores of the placeable bricks; allocated fraction
+    and mean fragmentation of every non-failed memory brick."""
+
+    free_bytes: int
+    free_cores: int
+    utilization: float
+    fragmentation: float
 
 
 class ResourceRegistry:
@@ -165,25 +180,63 @@ class ResourceRegistry:
                             - hypervisor.cores_in_use()),
                 free_ram_bytes=hypervisor.kernel.available_bytes,
                 powered=entry.brick.is_powered,
-                hosts_vms=bool(hypervisor.vms),
+                hosts_vms=hypervisor.vm_count > 0,
                 rack_id=entry.rack_id,
             ))
         return snapshots
 
     def memory_availability(self) -> list[MemoryAvailability]:
-        """Free capacity of every healthy memory brick."""
-        return [
-            MemoryAvailability(
-                brick_id=entry.brick.brick_id,
-                free_bytes=entry.allocator.free_bytes,
-                largest_span_bytes=entry.allocator.largest_free_span,
-                utilization=entry.allocator.utilization,
-                powered=entry.brick.is_powered,
-                rack_id=entry.rack_id,
-            )
-            for entry in self._memory.values()
-            if not entry.failed and entry.lifecycle.placeable
-        ]
+        """Free capacity of every healthy memory brick; a brick's
+        snapshot is reused until its allocator or power state changes."""
+        snapshots = []
+        for entry in self._memory.values():
+            if entry.failed or not entry.lifecycle.placeable:
+                continue
+            allocator = entry.allocator
+            powered = entry.brick.is_powered
+            memo = entry.availability
+            if (memo is None or memo[0] != allocator.version
+                    or memo[1] is not powered):
+                memo = entry.availability = (
+                    allocator.version, powered, MemoryAvailability(
+                        brick_id=entry.brick.brick_id,
+                        free_bytes=allocator.free_bytes,
+                        largest_span_bytes=allocator.largest_free_span,
+                        utilization=allocator.utilization,
+                        powered=powered,
+                        rack_id=entry.rack_id,
+                    ))
+            snapshots.append(memo[2])
+        return snapshots
+
+    def pod_load(self) -> PodLoad:
+        """The pod's :class:`PodLoad`, read in one pass over the
+        counters the availability snapshots are built from."""
+        free_cores = sum(
+            e.brick.core_count - e.hypervisor.cores_in_use()
+            for e in self._compute.values()
+            if not e.failed and e.lifecycle.placeable)
+        placeable_free = allocated = free = 0
+        fragmentations = []
+        for entry in self._memory.values():
+            if entry.failed:
+                continue
+            allocator = entry.allocator
+            allocated += allocator.allocated_bytes
+            free += allocator.free_bytes
+            fragmentations.append(allocator.fragmentation)
+            if entry.lifecycle.placeable:
+                placeable_free += allocator.free_bytes
+        return PodLoad(
+            free_bytes=placeable_free,
+            free_cores=free_cores,
+            utilization=(allocated / (allocated + free)
+                         if allocated + free else 0.0),
+            # sum(), as the snapshot formula had it: Python >= 3.12
+            # compensates float sums, so a running total could differ.
+            fragmentation=(sum(fragmentations) / len(fragmentations)
+                           if fragmentations else 0.0),
+        )
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -260,7 +313,7 @@ class ResourceRegistry:
         """
         powered_off: list[str] = []
         for entry in self._compute.values():
-            if not entry.hypervisor.vms and entry.brick.is_powered:
+            if not entry.hypervisor.vm_count and entry.brick.is_powered:
                 entry.brick.power_off()
                 powered_off.append(entry.brick.brick_id)
         for entry in self._memory.values():

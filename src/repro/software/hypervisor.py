@@ -83,6 +83,10 @@ class Hypervisor:
     def vms(self) -> list[VirtualMachine]:
         return list(self._vms.values())
 
+    @property
+    def vm_count(self) -> int:
+        return len(self._vms)
+
     def vm(self, vm_id: str) -> VirtualMachine:
         try:
             return self._vms[vm_id]

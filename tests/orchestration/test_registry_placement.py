@@ -77,6 +77,31 @@ class TestRegistry:
         assert snapshot.utilization == pytest.approx(0.25)
         assert snapshot.free_bytes == gib(48)
 
+    def test_memory_availability_is_fresh_after_every_change(self):
+        registry = ResourceRegistry(segment_alignment=mib(128))
+        memory = MemoryBrick("mb0")
+        allocator = registry.register_memory(memory).allocator
+
+        def snapshot():
+            (only,) = registry.memory_availability()
+            return only
+
+        assert snapshot() is snapshot()  # unchanged brick: reused
+        offset = allocator.allocate(gib(16))
+        assert snapshot().free_bytes == gib(48)
+        assert snapshot().largest_span_bytes == gib(48)
+        allocator.allocate(gib(8))
+        allocator.free(offset)
+        after_free = snapshot()
+        assert after_free.free_bytes == gib(56)
+        assert after_free.largest_span_bytes == gib(40)
+        assert after_free.utilization == pytest.approx(0.125)
+        memory.power_off()
+        assert not snapshot().powered
+        memory.power_on()
+        assert snapshot().powered
+        assert snapshot().free_bytes == gib(56)
+
     def test_power_off_idle_bricks(self):
         registry = ResourceRegistry()
         _brick, hypervisor = register_compute(registry, "cb0")

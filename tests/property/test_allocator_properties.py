@@ -81,6 +81,31 @@ def test_conservation_of_bytes(data):
     allocator.check_invariants()
 
 
+@given(data=st.data())
+@settings(max_examples=100)
+def test_cached_span_statistics_match_the_free_list(data):
+    """The largest span is cached against ``version``; after every step
+    of a random tape it must equal a fresh scan of the free list."""
+    allocator = SegmentAllocator(CAPACITY, alignment=ALIGNMENT)
+    live = []
+    for _ in range(data.draw(st.integers(1, 40))):
+        if live and data.draw(st.booleans()):
+            allocator.free(live.pop(data.draw(
+                st.integers(0, len(live) - 1))))
+        else:
+            try:
+                live.append(allocator.allocate(
+                    data.draw(st.integers(1, CAPACITY // 4))))
+            except AllocationError:
+                pass
+        sizes = [span.size for span in allocator.free_spans()]
+        largest = max(sizes, default=0)
+        free = sum(sizes)
+        assert allocator.largest_free_span == largest
+        assert allocator.fragmentation == (
+            1.0 - largest / free if free else 0.0)
+
+
 class AllocatorMachine(RuleBasedStateMachine):
     """Stateful exploration of allocate/free interleavings."""
 
