@@ -45,7 +45,7 @@ from repro.cluster.metrics import (
     RequestRecord,
     TimedSample,
 )
-from repro.cluster.trace import TenantSpec, TenantTrace
+from repro.cluster.trace import TenantSpec, TenantTrace, start_arrivals
 from repro.errors import OrchestrationError, ReproError
 from repro.orchestration.elasticity import ElasticMemoryManager
 from repro.orchestration.requests import VmAllocationRequest
@@ -73,22 +73,26 @@ class ClusterRequest:
     tenant_id: str
     payload: dict[str, Any] = field(default_factory=dict)
     record: RequestRecord = field(init=False)
-    #: Fires (with this request) when the request finishes, served or
+    #: Fires, with no value, when the request finishes, served or
     #: rejected; inspect ``record.ok`` to tell which.  In batched mode
     #: this is the *batch* completion (after the shared config push).
+    #: None of the three events carries the request: a request must
+    #: not reference itself, so it is freed as soon as its holders
+    #: drop it.
     done: Event = field(init=False, repr=False)
-    #: Fires as soon as this request's system mutation has executed —
-    #: the same-tenant ordering gate.  Unlike ``done`` it never waits
-    #: for batch-mates, so two same-tenant requests sharing a batch
-    #: cannot deadlock on each other.
+    #: Fires, with no value, as soon as this request's system mutation
+    #: has executed — the same-tenant ordering gate.  Unlike ``done``
+    #: it never waits for batch-mates, so two same-tenant requests
+    #: sharing a batch cannot deadlock on each other.
     executed: Event = field(init=False, repr=False)
-    #: Fires as soon as the request's SDM-side reservation work has
-    #: committed (everything after is brick-side).  Pipelines that
-    #: cannot commit early (their release comes last) fire it together
-    #: with ``executed``.  This is what a completion-offloading worker
-    #: waits for before freeing its slot.
+    #: Fires, with no value, as soon as the request's SDM-side
+    #: reservation work has committed (everything after is
+    #: brick-side).  Pipelines that cannot commit early (their release
+    #: comes last) fire it together with ``executed``.  This is what a
+    #: completion-offloading worker waits for before freeing its slot.
     committed: Event = field(init=False, repr=False)
-    #: The predecessor request of the same tenant, if still in flight.
+    #: The ``executed`` event of the same tenant's previous request,
+    #: while this request has not yet waited on it.
     _after: Optional[Event] = field(default=None, repr=False)
     result: Any = None
 
@@ -191,10 +195,13 @@ class ControlPlane:
 
     def tenant_tail(self, tenant_id: str) -> Optional[Event]:
         """The ``executed`` event of *tenant_id*'s most recently
-        submitted request, or ``None`` when the tenant never submitted.
+        submitted request while that event has not been processed, or
+        ``None`` when the tenant has nothing in flight.
 
         Inter-pod migration waits on this before copying a tenant out,
         so in-flight same-tenant work always lands before the move.
+        The plane forgets a tail once it is processed, so it holds one
+        entry per tenant in flight, not one per tenant ever served.
         """
         return self._tenant_tail.get(tenant_id)
 
@@ -222,13 +229,19 @@ class ControlPlane:
             tenant_id=tenant_id, kind=kind, submitted_s=self.sim.now,
             queue_depth_at_submit=depth)
         request.done = self.sim.event()
-        request.executed = self.sim.event()
+        request.executed = executed = self.sim.event()
         request.committed = self.sim.event()
         # Same-tenant FIFO: gate on the tenant's previous request having
         # *executed*, so a second worker (or a later slot of the same
         # batch) can never apply same-tenant operations out of order.
-        request._after = self._tenant_tail.get(tenant_id)
-        self._tenant_tail[tenant_id] = request.executed
+        tails = self._tenant_tail
+        request._after = tails.get(tenant_id)
+        tails[tenant_id] = executed
+
+        def untail(event: Event) -> None:
+            if tails.get(tenant_id) is event:
+                del tails[tenant_id]
+        executed.callbacks.append(untail)
         self.stats.records.append(request.record)
         self.stats.queue_depth_samples.append(
             TimedSample(self.sim.now, depth))
@@ -314,13 +327,14 @@ class ControlPlane:
     def _complete_batch(self, batch: list[ClusterRequest]) -> None:
         for request in batch:
             request.record.completed_s = self.sim.now
-            request.done.succeed(request)
+            request.done.succeed()
         self.stats.fragmentation_samples.append(
             TimedSample(self.sim.now, self._fragmentation()))
 
     def _serve_one(self, request: ClusterRequest) -> ProcessGenerator:
         if request._after is not None:
             yield request._after
+            request._after = None
         request.record.started_s = self.sim.now
         try:
             request.result = yield from self._execute(request)
@@ -328,18 +342,18 @@ class ControlPlane:
         except ReproError as exc:
             request.record.ok = False
             request.record.note = f"{type(exc).__name__}: {exc}"
-        request.executed.succeed(request)
+        request.executed.succeed()
         # Pipelines whose controller work ends the pipeline (release-
         # last kinds) — and any rejected request — commit here at the
         # latest, so an offloading worker never waits forever.
         if not request.committed.triggered:
-            request.committed.succeed(request)
+            request.committed.succeed()
 
     def _commit_hook(self, request: ClusterRequest):
         """The ``on_commit`` callback handed to the system pipelines."""
         def fire() -> None:
             if not request.committed.triggered:
-                request.committed.succeed(request)
+                request.committed.succeed()
         return fire
 
     def _execute(self, request: ClusterRequest) -> ProcessGenerator:
@@ -516,9 +530,7 @@ class ControlPlane:
         tasks keep their future events; the clock simply stops there)
         and returns the collected statistics.
         """
-        lifecycles = [self.sim.process(self._tenant(spec))
-                      for spec in trace.tenants]
-        self.sim.run(until=self.sim.all_of(lifecycles))
+        self.sim.run(until=start_arrivals(self.sim, trace, self._tenant))
         self.stats.duration_s = self.sim.now
         return self.stats
 
@@ -538,7 +550,6 @@ class ControlPlane:
         return self.stats
 
     def _tenant(self, spec: TenantSpec) -> ProcessGenerator:
-        yield self.sim.timeout(spec.arrival_s)
         boot = self.submit("boot", spec.tenant_id,
                            request=VmAllocationRequest(
                                vm_id=spec.tenant_id, vcpus=spec.vcpus,

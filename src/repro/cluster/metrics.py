@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """Life of one control-plane request, stamped in simulated time."""
 
@@ -45,7 +45,7 @@ class RequestRecord:
         return not math.isnan(self.completed_s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimedSample:
     """One ``(time, value)`` observation of a control-plane gauge."""
 

@@ -24,6 +24,10 @@ arrival time, lifetime, memory size — header synonyms of both formats
 are recognized) from a CSV and yields the same
 :class:`TenantSpec` stream as the generators, so the control plane can
 be exercised against real logs with no other code change.
+
+:func:`start_arrivals` turns a trace into offered load on a simulator:
+every ``serve_trace`` (the pod control plane and both federation
+backends) starts its tenant lifecycles through it.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.errors import ConfigurationError
+from repro.sim.engine import Event, ProcessGenerator, Simulator
 from repro.sim.rng import RngRegistry
 from repro.units import gib
 
@@ -108,6 +113,52 @@ class TenantTrace:
             if tenant.migrate_at_s is not None:
                 total += 1
         return total
+
+
+def start_arrivals(sim: Simulator, trace: TenantTrace,
+                   lifecycle: Callable[[TenantSpec], ProcessGenerator]
+                   ) -> Event:
+    """Start ``lifecycle(spec)`` as a DES process when each tenant arrives.
+
+    One arrival process walks the time-ordered trace: a tenant starts
+    at exactly ``t0 + spec.arrival_s``, where ``t0`` is the time of
+    this call, and tenants due at the same instant start back to back,
+    in trace order, before any event their starts schedule.  Nothing
+    is created ahead of an arrival and nothing is kept after a
+    lifecycle ends, so a serve's memory follows the tenants in flight,
+    not the length of the trace.
+
+    Returns an event that succeeds, with no value, once every
+    lifecycle has ended, or fails with the first exception a lifecycle
+    raises, at the time it raises.
+    """
+    tenants = trace.tenants
+    start_s = sim.now
+    done = sim.event()
+    outstanding = len(tenants)
+
+    def ended(process: Event) -> None:
+        nonlocal outstanding
+        if done.triggered:
+            return
+        if not process.ok:
+            done.fail(process.value)
+            return
+        outstanding -= 1
+        if not outstanding:
+            done.succeed()
+
+    def arrive() -> ProcessGenerator:
+        for spec in tenants:
+            due = start_s + spec.arrival_s
+            if due != sim.now:
+                yield sim.timeout_at(due)
+            sim.process(lifecycle(spec)).callbacks.append(ended)
+
+    sim.process(arrive())
+    if not tenants:
+        done.succeed()
+    return done
 
 
 # ---------------------------------------------------------------------------

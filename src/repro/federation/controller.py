@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.cluster.control_plane import ClusterRequest, ControlPlane
 from repro.cluster.metrics import ControlPlaneStats, RequestRecord
-from repro.cluster.trace import TenantSpec, TenantTrace
+from repro.cluster.trace import TenantSpec, TenantTrace, start_arrivals
 from repro.core.builder import PodBuilder
 from repro.core.system import DisaggregatedSystem
 from repro.errors import FederationError, ReproError
@@ -389,9 +389,8 @@ class FederationController:
         simulator until the last tenant departs and returns the
         federation statistics (pod-level stats attached).
         """
-        lifecycles = [self.sim.process(self._tenant(spec, home_of))
-                      for spec in trace.tenants]
-        self.sim.run(until=self.sim.all_of(lifecycles))
+        self.sim.run(until=start_arrivals(
+            self.sim, trace, lambda spec: self._tenant(spec, home_of)))
         return self._finalize()
 
     def drain(self) -> FederationStats:
@@ -415,7 +414,6 @@ class FederationController:
     def _tenant(self, spec: TenantSpec,
                 home_of: Optional[Callable[[TenantSpec], str]]
                 ) -> ProcessGenerator:
-        yield self.sim.timeout(spec.arrival_s)
         home = (home_of(spec) if home_of is not None
                 else self.placer.home_pod(spec.tenant_id))
         pod_id = self.placer.place(spec.tenant_id, spec.ram_bytes,

@@ -54,7 +54,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.cluster.control_plane import ControlPlane
 from repro.cluster.metrics import RequestRecord
-from repro.cluster.trace import TenantSpec, TenantTrace
+from repro.cluster.trace import TenantSpec, TenantTrace, start_arrivals
 from repro.core.builder import PodBuilder
 from repro.errors import (
     FederationError,
@@ -803,10 +803,8 @@ class ParallelFederationController:
         conservative window synchronization, then collect the
         federation statistics (pod-level stats fetched from the
         workers)."""
-        lifecycles = [
-            self.sim.process(self._tenant(spec, home_of))
-            for spec in trace.tenants]
-        self._goal = self.sim.all_of(lifecycles)
+        self._goal = start_arrivals(
+            self.sim, trace, lambda spec: self._tenant(spec, home_of))
         self.window_report = run_windows(self, self.fleet,
                                          self.lookahead_s)
         return self._finalize()
@@ -821,7 +819,6 @@ class ParallelFederationController:
     def _tenant(self, spec: TenantSpec,
                 home_of: Optional[Callable[[TenantSpec], str]]
                 ) -> ProcessGenerator:
-        yield self.sim.timeout(spec.arrival_s)
         home = (home_of(spec) if home_of is not None
                 else self.placer.home_pod(spec.tenant_id))
         pod_id = self.placer.place(spec.tenant_id, spec.ram_bytes,

@@ -523,6 +523,27 @@ class Simulator:
                          timeout)
         return timeout
 
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """Create an event that fires, with *value*, at simulated time
+        *when*, exactly.
+
+        ``timeout(when - now)`` fires at the rounded sum
+        ``now + (when - now)``, which can miss *when*: from
+        ``now = 2**-53`` no delay lands on ``1 + 2**-52``.  Rejects a
+        *when* that is NaN, infinite or earlier than now.
+        """
+        # ``not (when >= now)`` also catches NaN.
+        if not (when >= self._now) or when == _INF:
+            raise SimulationError(
+                f"timeout_at needs a finite time no earlier than now "
+                f"({self._now}), got {when}")
+        event = self.event()
+        event._triggered = True
+        event._value = value
+        self._sequence = sequence = self._sequence + 1
+        self._queue.push(when, NORMAL_PRIORITY, sequence, event)
+        return event
+
     def process(self, generator: ProcessGenerator) -> Process:
         """Start a process from *generator*; returns its completion event."""
         return Process(self, generator)

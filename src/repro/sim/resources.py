@@ -54,11 +54,12 @@ class Resource:
         return len(self._queue)
 
     def request(self) -> Request:
-        """Claim a slot; the returned event fires when the slot is granted."""
+        """Claim a slot; the returned event fires, with no value, when
+        the slot is granted.  Keep the request itself to release it."""
         req = Request(self.sim, self)
         if len(self._users) < self.capacity:
             self._users.add(req)
-            req.succeed(req)
+            req.succeed()
         else:
             self._queue.append(req)
         return req
@@ -71,7 +72,7 @@ class Resource:
         while self._queue and len(self._users) < self.capacity:
             nxt = self._queue.popleft()
             self._users.add(nxt)
-            nxt.succeed(nxt)
+            nxt.succeed()
 
     def cancel(self, request: Request) -> None:
         """Withdraw a queued request that has not been granted yet."""

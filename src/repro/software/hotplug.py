@@ -54,6 +54,9 @@ class MemoryHotplug:
             raise HotplugError("section size must be positive")
         self.section_bytes = section_bytes
         self.timings = timings
+        #: Sections that are PRESENT or ONLINE; an index missing here is
+        #: ABSENT, so the map holds what is attached now, not every
+        #: section ever attached.
         self._sections: dict[int, MemorySection] = {}
         self.operations = 0
         # Running state counters: sections only change state through the
@@ -81,10 +84,12 @@ class MemoryHotplug:
         return range(first, first + size // self.section_bytes)
 
     def section(self, index: int) -> MemorySection:
-        """The section at *index* (ABSENT placeholder if untouched)."""
-        if index not in self._sections:
-            self._sections[index] = MemorySection(index, self.section_bytes)
-        return self._sections[index]
+        """The section at *index*; an ABSENT index reads as a fresh
+        ABSENT section, which is not stored."""
+        section = self._sections.get(index)
+        if section is None:
+            return MemorySection(index, self.section_bytes)
+        return section
 
     # -- operations --------------------------------------------------------------------
 
@@ -102,6 +107,7 @@ class MemoryHotplug:
                     f"section {sec.index} is already {sec.state.value}")
         for sec in sections:
             sec.transition(SectionState.PRESENT)
+            self._sections[sec.index] = sec
         self._present_sections += len(sections)
         self.operations += 1
         return (self.timings.operation_overhead_s
@@ -148,6 +154,7 @@ class MemoryHotplug:
                     f"(offline it first)")
         for sec in sections:
             sec.transition(SectionState.ABSENT)
+            del self._sections[sec.index]
         self._present_sections -= len(sections)
         self.operations += 1
         return (self.timings.operation_overhead_s
@@ -164,4 +171,6 @@ class MemoryHotplug:
         return self._present_sections * self.section_bytes
 
     def sections_in_state(self, state: SectionState) -> list[MemorySection]:
+        """Attached sections in *state*; ABSENT sections are not
+        stored, so that state always reads empty."""
         return [s for s in self._sections.values() if s.state is state]

@@ -14,6 +14,7 @@ from repro.cluster.trace import (
     bursty_trace,
     diurnal_trace,
     poisson_trace,
+    start_arrivals,
 )
 from repro.errors import ConfigurationError
 from repro.units import gib
@@ -113,6 +114,59 @@ class TestShapes:
         migrating = sum(1 for t in trace.tenants
                         if t.migrate_at_s is not None)
         assert 300 < migrating < 700
+
+
+def _spec(tenant_id: str, arrival_s: float) -> TenantSpec:
+    return TenantSpec(tenant_id, arrival_s, 1, gib(1), lifetime_s=1.0)
+
+
+class TestStartArrivals:
+    def test_lifecycles_start_at_arrival_and_the_event_fires_last(self, sim):
+        trace = TenantTrace("unit", [_spec("a", 0.5), _spec("b", 1.25)])
+        started = []
+
+        def lifecycle(spec):
+            started.append((spec.tenant_id, sim.now))
+            yield sim.timeout(spec.lifetime_s)
+
+        done = start_arrivals(sim, trace, lifecycle)
+        assert sim.run(until=done) is None
+        assert started == [("a", 0.5), ("b", 1.25)]
+        assert sim.now == 2.25
+
+    def test_tied_arrivals_start_back_to_back_in_trace_order(self, sim):
+        trace = TenantTrace("unit", [
+            _spec("a", 1.0), _spec("b", 1.0), _spec("c", 2.0)])
+        log = []
+
+        def lifecycle(spec):
+            log.append(f"start {spec.tenant_id}")
+            scheduled = sim.event().succeed()
+            scheduled.callbacks.append(
+                lambda _event: log.append(f"event {spec.tenant_id}"))
+            yield scheduled
+
+        sim.run(until=start_arrivals(sim, trace, lifecycle))
+        assert log == ["start a", "start b", "event a", "event b",
+                       "start c", "event c"]
+
+    def test_empty_trace_fires_at_once(self, sim):
+        done = start_arrivals(sim, TenantTrace("empty"), lambda spec: None)
+        sim.run(until=done)
+        assert sim.now == 0.0
+
+    def test_a_raising_lifecycle_fails_the_event_when_it_raises(self, sim):
+        trace = TenantTrace("unit", [_spec("a", 0.5), _spec("b", 1.0)])
+
+        def lifecycle(spec):
+            yield sim.timeout(0.25)
+            if spec.tenant_id == "b":
+                raise ValueError("boom")
+            yield sim.timeout(10.0)
+
+        with pytest.raises(ValueError, match="boom"):
+            sim.run(until=start_arrivals(sim, trace, lifecycle))
+        assert sim.now == 1.25
 
 
 class TestReplayTrace:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -77,6 +79,38 @@ class TestTimeout:
         sim.process(proc())
         sim.run()
         assert collected == ["payload"]
+
+
+class TestTimeoutAt:
+    def test_fires_exactly_at_an_absolute_time(self, sim):
+        start, due = 2.0 ** -53, 1.0 + 2.0 ** -52
+        # No relative delay from *start* reaches *due*.
+        delay = due - start
+        assert all(start + d != due for d in (
+            math.nextafter(delay, 0.0), delay, math.nextafter(delay, 2.0)))
+        seen = []
+
+        def proc():
+            yield sim.timeout_at(start)
+            value = yield sim.timeout_at(due, value="payload")
+            seen.append((sim.now, value))
+
+        sim.process(proc())
+        sim.run()
+        assert seen == [(due, "payload")]
+
+    def test_now_is_allowed(self, sim):
+        sim.run(until=2.0)
+        timeout = sim.timeout_at(2.0)
+        sim.run()
+        assert timeout.processed and sim.now == 2.0
+
+    @pytest.mark.parametrize("when", [float("nan"), float("inf"), 1.0])
+    def test_non_finite_or_past_time_rejected(self, sim, when):
+        sim.run(until=2.0)
+        with pytest.raises(SimulationError, match="no earlier than now"):
+            sim.timeout_at(when)
+        assert sim.queue_size == 0
 
 
 class TestProcess:

@@ -36,6 +36,16 @@ class TestResource:
         sim.run()
         assert grants == [(0.0, "first"), (2.0, "second"), (3.0, "third")]
 
+    def test_grants_carry_no_value(self, sim):
+        # A grant carrying its own request would make every request a
+        # reference cycle that only the cyclic garbage collector frees.
+        resource = Resource(sim, capacity=1)
+        first = resource.request()
+        second = resource.request()
+        resource.release(first)
+        sim.run()
+        assert first.value is None and second.value is None
+
     def test_queue_length_tracks_waiters(self, sim):
         resource = Resource(sim, capacity=1)
         held = resource.request()

@@ -109,6 +109,17 @@ class TestOperations:
         hotplug.online(0, mib(128))
         assert hotplug.operations == 2
 
+    def test_detached_and_untouched_sections_are_not_stored(self, hotplug):
+        for cycle in range(1000):
+            base = cycle * mib(256)
+            hotplug.add_memory(base, mib(256))
+            hotplug.online(base, mib(256))
+            hotplug.offline(base, mib(256))
+            hotplug.remove_memory(base, mib(256))
+        assert hotplug.section(5000).state is SectionState.ABSENT
+        assert not any(hotplug.sections_in_state(state)
+                       for state in SectionState)
+
     def test_sections_in_state(self, hotplug):
         hotplug.add_memory(0, mib(256))
         hotplug.online(0, mib(128))
