@@ -434,16 +434,16 @@ class ControlPlane:
         return candidates[0].brick_id
 
     def _fragmentation(self) -> float:
-        """Mean free-space fragmentation across healthy memory bricks
-        (O(1) per unchanged brick: allocators cache their largest span)."""
-        entries = [e for e in self.system.sdm.registry.memory_entries
-                   if not e.failed]
-        if not entries:
+        """Mean free-space fragmentation across healthy memory bricks,
+        over the registry's per-brick list."""
+        fragmentations = self.system.sdm.registry.fragmentations()
+        if not fragmentations:
             return 0.0
         total = 0.0
-        for entry in entries:  # not sum(): compensated on Python >= 3.12
-            total += entry.allocator.fragmentation
-        return total / len(entries)
+        # Not sum(): Python >= 3.12 compensates float sums.
+        for value in fragmentations:
+            total += value
+        return total / len(fragmentations)
 
     # -- failure reactions --------------------------------------------------
 

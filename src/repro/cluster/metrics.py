@@ -61,12 +61,12 @@ class ControlPlaneStats:
 
     * ``queue_depth_samples`` — one sample per submission (admission
       backlog plus waiters on every SDM-C reservation domain).
-    * ``fragmentation_samples`` — one sample per batch completion,
-      computed **incrementally**: the control plane caches each
-      brick's fragmentation keyed on its allocator's mutation
-      ``version`` and only recomputes bricks that changed since the
-      previous sample (see ``ControlPlane._fragmentation``), so the
-      gauge no longer walks every free list on every completion.
+    * ``fragmentation_samples`` — one sample per batch completion:
+      the mean of the registry's per-brick fragmentation list
+      (``ResourceRegistry.fragmentations``, see
+      ``ControlPlane._fragmentation``).  The registry rebuilds only the
+      entries of bricks whose allocator changed since the last read,
+      so a sample never walks a free list of an unchanged brick.
     """
 
     records: list[RequestRecord] = field(default_factory=list)

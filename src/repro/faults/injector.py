@@ -632,9 +632,9 @@ class FaultInjector:
                 registry.mark_compute_failed(entry.brick.brick_id)
         for entry in registry.memory_entries:
             if entry.rack_id == rack:
-                # Direct flag, not mark_memory_failed: the brick is
+                # The flag alone, not mark_memory_failed: the brick is
                 # healthy and keeps its content — only unreachable.
-                entry.failed = True
+                registry.set_memory_failed(entry.brick.brick_id, True)
         impacted = (self._rack_tenants(pod, rack)
                     | self._rack_memory_tenants(pod, rack))
         pod.plane.degraded.update(impacted)
@@ -692,7 +692,7 @@ class FaultInjector:
                 registry.restore_compute(entry.brick.brick_id)
         for entry in registry.memory_entries:
             if entry.rack_id == rack:
-                entry.failed = False
+                registry.set_memory_failed(entry.brick.brick_id, False)
         pod.plane.degraded.difference_update(event.impacted_tenants)
         link = self._links.get(event.target)
         if link is not None and not link.link_up:

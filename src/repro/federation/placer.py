@@ -245,9 +245,12 @@ class GlobalPlacer:
         if (self.pod_accepting(home) and home not in conflicted
                 and self.fits(self.snapshot(home), ram_bytes, vcpus)):
             return home
-        fitting = [s for s in self.snapshots()
-                   if s.pod_id != home and self.pod_accepting(s.pod_id)
-                   and self.fits(s, ram_bytes, vcpus)]
+        # Spill: measure each other accepting pod once, in canonical
+        # order; the home pod's measurement above is never needed again.
+        others = [pod_id for pod_id in self.pod_ids
+                  if pod_id != home and self.pod_accepting(pod_id)]
+        fitting = [s for s in map(self.snapshot, others)
+                   if self.fits(s, ram_bytes, vcpus)]
         # Anti-affinity is soft: conflict-free pods win, but when every
         # fitting pod already hosts a group-mate, co-location beats
         # rejection.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Callable, Iterable, Optional, Protocol
 
 from repro.errors import PowerStateError
 
@@ -72,6 +72,8 @@ class Powered:
                  initial_state: PowerState = PowerState.IDLE) -> None:
         self.power_profile = power_profile
         self._power_state = initial_state
+        #: Called after every state change (``None`` when unwatched).
+        self.on_change: Optional[Callable[[], None]] = None
 
     @property
     def power_state(self) -> PowerState:
@@ -95,6 +97,8 @@ class Powered:
                 f"illegal power transition {self._power_state.value} -> "
                 f"{new_state.value}")
         self._power_state = new_state
+        if self.on_change is not None:
+            self.on_change()
 
     def power_off(self) -> None:
         """Power the component down (via idle if currently active)."""

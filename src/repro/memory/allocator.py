@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import operator
+from typing import Callable, Optional
 
 from repro.errors import AllocationError
 from repro.memory.address import AddressRange, align_up
@@ -41,10 +42,13 @@ class SegmentAllocator:
         #: instead of rescanning every live allocation.
         self._allocated_bytes = 0
         #: Mutation counter, bumped by allocate/free, the only writers
-        #: of the free list.  The largest free span below and each
-        #: brick's registry availability snapshot are cached against it.
+        #: of the free list.  The largest free span below is cached
+        #: against it.
         self.version = 0
         self._largest_span = (0, capacity_bytes)  # (version, size)
+        #: Called after every allocate and free; the registry installs
+        #: its brick's change callback here (``None`` when unwatched).
+        self.on_change: Optional[Callable[[], None]] = None
 
     # -- allocation --------------------------------------------------------------
 
@@ -73,6 +77,8 @@ class SegmentAllocator:
                 self._allocated[offset] = AddressRange(offset, padded)
                 self._allocated_bytes += padded
                 self.version += 1
+                if self.on_change is not None:
+                    self.on_change()
                 return offset
         if self.free_bytes >= padded:
             raise AllocationError(
@@ -89,6 +95,8 @@ class SegmentAllocator:
         self._insert_coalesced(span)
         self._allocated_bytes -= span.size
         self.version += 1
+        if self.on_change is not None:
+            self.on_change()
         return span.size
 
     def _insert_coalesced(self, span: AddressRange) -> None:

@@ -6,11 +6,20 @@ Memory bricks carry a :class:`~repro.memory.allocator.SegmentAllocator`;
 compute bricks are tracked through their kernels/hypervisors.  Entries
 record their rack so placement can score interconnect distance at pod
 scale; single-rack deployments may leave ``rack_id`` empty.
+
+Pod status is kept from running counters rather than walks.  At
+registration every brick's components (allocator, hypervisor, kernel,
+the brick's power state) get one change callback that marks the brick
+dirty; a read rebuilds only the dirty bricks' snapshots and adjusts
+integer totals.  Rare changes -- registration, a failed flag, a
+lifecycle transition -- mark the whole registry stale instead, and the
+next read recounts every brick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from repro.errors import OrchestrationError
@@ -54,10 +63,6 @@ class MemoryEntry:
     #: Ironic-style provisioning state (see :mod:`repro.orchestration.
     #: lifecycle`); the allocator's ``accepting`` gate shadows it.
     lifecycle: BrickLifecycle = field(default=None)  # type: ignore[assignment]
-    #: ``(allocator.version, brick.is_powered, snapshot)`` of the last
-    #: :meth:`ResourceRegistry.memory_availability` read of this brick.
-    availability: tuple[int, bool, MemoryAvailability] | None = field(
-        default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,6 +106,28 @@ class ResourceRegistry:
         self.segment_alignment = segment_alignment
         self._compute: dict[str, ComputeEntry] = {}
         self._memory: dict[str, MemoryEntry] = {}
+        #: Bricks whose change callback fired since the last read.
+        #: Dicts, not sets: refreshes run in insertion order, never in
+        #: hash order.
+        self._dirty_compute: dict[str, ComputeEntry] = {}
+        self._dirty_memory: dict[str, MemoryEntry] = {}
+        #: True when the next read must recount every brick.
+        self._stale = True
+        # What the reads serve, each in registration order with every
+        # brick's position in it: snapshots of the placeable,
+        # non-failed bricks; free bytes and fragmentation of every
+        # non-failed memory brick (the pool).
+        self._compute_view: list[ComputeAvailability] = []
+        self._compute_slot: dict[str, int] = {}
+        self._memory_view: list[MemoryAvailability] = []
+        self._memory_slot: dict[str, int] = {}
+        self._pool_slot: dict[str, int] = {}
+        self._pool_free: list[int] = []
+        self._fragmentations: list[float] = []
+        self._free_cores = 0
+        self._placeable_free_bytes = 0
+        self._free_bytes = 0
+        self._allocated_bytes = 0
 
     # -- registration -------------------------------------------------------------
 
@@ -113,6 +140,11 @@ class ResourceRegistry:
         entry.lifecycle = BrickLifecycle(brick.brick_id)
         entry.lifecycle.activate()
         self._compute[brick.brick_id] = entry
+        changed = partial(self._dirty_compute.__setitem__, brick.brick_id,
+                          entry)
+        brick.on_change = hypervisor.on_change = changed
+        hypervisor.kernel.on_change = changed
+        self._stale = True
         return entry
 
     def register_memory(self, brick: MemoryBrick,
@@ -126,6 +158,9 @@ class ResourceRegistry:
         entry.lifecycle = BrickLifecycle(brick.brick_id)
         entry.lifecycle.activate()
         self._memory[brick.brick_id] = entry
+        brick.on_change = allocator.on_change = partial(
+            self._dirty_memory.__setitem__, brick.brick_id, entry)
+        self._stale = True
         return entry
 
     # -- lookups ----------------------------------------------------------------------
@@ -169,67 +204,28 @@ class ResourceRegistry:
 
     def compute_availability(self) -> list[ComputeAvailability]:
         """Free capacity of every healthy compute brick."""
-        snapshots = []
-        for entry in self._compute.values():
-            if entry.failed or not entry.lifecycle.placeable:
-                continue
-            hypervisor = entry.hypervisor
-            snapshots.append(ComputeAvailability(
-                brick_id=entry.brick.brick_id,
-                free_cores=(entry.brick.core_count
-                            - hypervisor.cores_in_use()),
-                free_ram_bytes=hypervisor.kernel.available_bytes,
-                powered=entry.brick.is_powered,
-                hosts_vms=hypervisor.vm_count > 0,
-                rack_id=entry.rack_id,
-            ))
-        return snapshots
+        self._refresh()
+        return list(self._compute_view)
 
     def memory_availability(self) -> list[MemoryAvailability]:
-        """Free capacity of every healthy memory brick; a brick's
-        snapshot is reused until its allocator or power state changes."""
-        snapshots = []
-        for entry in self._memory.values():
-            if entry.failed or not entry.lifecycle.placeable:
-                continue
-            allocator = entry.allocator
-            powered = entry.brick.is_powered
-            memo = entry.availability
-            if (memo is None or memo[0] != allocator.version
-                    or memo[1] is not powered):
-                memo = entry.availability = (
-                    allocator.version, powered, MemoryAvailability(
-                        brick_id=entry.brick.brick_id,
-                        free_bytes=allocator.free_bytes,
-                        largest_span_bytes=allocator.largest_free_span,
-                        utilization=allocator.utilization,
-                        powered=powered,
-                        rack_id=entry.rack_id,
-                    ))
-            snapshots.append(memo[2])
-        return snapshots
+        """Free capacity of every healthy memory brick."""
+        self._refresh()
+        return list(self._memory_view)
+
+    def fragmentations(self) -> list[float]:
+        """Free-space fragmentation of every non-failed memory brick,
+        placeable or not, in registration order."""
+        self._refresh()
+        return list(self._fragmentations)
 
     def pod_load(self) -> PodLoad:
-        """The pod's :class:`PodLoad`, read in one pass over the
-        counters the availability snapshots are built from."""
-        free_cores = sum(
-            e.brick.core_count - e.hypervisor.cores_in_use()
-            for e in self._compute.values()
-            if not e.failed and e.lifecycle.placeable)
-        placeable_free = allocated = free = 0
-        fragmentations = []
-        for entry in self._memory.values():
-            if entry.failed:
-                continue
-            allocator = entry.allocator
-            allocated += allocator.allocated_bytes
-            free += allocator.free_bytes
-            fragmentations.append(allocator.fragmentation)
-            if entry.lifecycle.placeable:
-                placeable_free += allocator.free_bytes
+        """The pod's :class:`PodLoad`, from the running totals."""
+        self._refresh()
+        allocated, free = self._allocated_bytes, self._free_bytes
+        fragmentations = self._fragmentations
         return PodLoad(
-            free_bytes=placeable_free,
-            free_cores=free_cores,
+            free_bytes=self._placeable_free_bytes,
+            free_cores=self._free_cores,
             utilization=(allocated / (allocated + free)
                          if allocated + free else 0.0),
             # sum(), as the snapshot formula had it: Python >= 3.12
@@ -237,6 +233,70 @@ class ResourceRegistry:
             fragmentation=(sum(fragmentations) / len(fragmentations)
                            if fragmentations else 0.0),
         )
+
+    def _refresh(self) -> None:
+        """Bring the views and totals up to date: recount everything
+        when stale, else rebuild only the bricks reported dirty."""
+        if self._stale:
+            self._recount()
+            return
+        if self._dirty_compute:
+            view, slots = self._compute_view, self._compute_slot
+            for brick_id, entry in self._dirty_compute.items():
+                slot = slots.get(brick_id)
+                if slot is not None:
+                    snapshot = _compute_snapshot(entry)
+                    self._free_cores += (snapshot.free_cores
+                                         - view[slot].free_cores)
+                    view[slot] = snapshot
+            self._dirty_compute.clear()
+        if self._dirty_memory:
+            pool_free = self._pool_free
+            for brick_id, entry in self._dirty_memory.items():
+                slot = self._pool_slot.get(brick_id)
+                if slot is None:
+                    continue  # failed: outside the pool
+                allocator = entry.allocator
+                delta = allocator.free_bytes - pool_free[slot]
+                pool_free[slot] += delta
+                self._free_bytes += delta
+                self._allocated_bytes -= delta
+                self._fragmentations[slot] = allocator.fragmentation
+                view_slot = self._memory_slot.get(brick_id)
+                if view_slot is not None:
+                    self._placeable_free_bytes += delta
+                    self._memory_view[view_slot] = _memory_snapshot(entry)
+            self._dirty_memory.clear()
+
+    def _recount(self) -> None:
+        """Rebuild every view and total from the bricks themselves."""
+        self._compute_view, self._compute_slot = [], {}
+        for brick_id, entry in self._compute.items():
+            if not entry.failed and entry.lifecycle.placeable:
+                self._compute_slot[brick_id] = len(self._compute_view)
+                self._compute_view.append(_compute_snapshot(entry))
+        self._memory_view, self._memory_slot = [], {}
+        self._pool_slot, self._pool_free, self._fragmentations = {}, [], []
+        allocated = 0
+        for brick_id, entry in self._memory.items():
+            if entry.failed:
+                continue
+            allocator = entry.allocator
+            self._pool_slot[brick_id] = len(self._pool_free)
+            self._pool_free.append(allocator.free_bytes)
+            self._fragmentations.append(allocator.fragmentation)
+            allocated += allocator.allocated_bytes
+            if entry.lifecycle.placeable:
+                self._memory_slot[brick_id] = len(self._memory_view)
+                self._memory_view.append(_memory_snapshot(entry))
+        self._free_cores = sum(c.free_cores for c in self._compute_view)
+        self._placeable_free_bytes = sum(
+            m.free_bytes for m in self._memory_view)
+        self._free_bytes = sum(self._pool_free)
+        self._allocated_bytes = allocated
+        self._dirty_compute.clear()
+        self._dirty_memory.clear()
+        self._stale = False
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -251,6 +311,7 @@ class ResourceRegistry:
         """
         entry = self.memory(brick_id)
         entry.lifecycle.transition(state)
+        self._stale = True
         entry.allocator.accepting = entry.lifecycle.accepting
         if state is BrickState.MAINTENANCE:
             entry.brick.power_off()
@@ -263,6 +324,7 @@ class ResourceRegistry:
         """Legal-checked lifecycle transition for a compute brick."""
         entry = self.compute(brick_id)
         entry.lifecycle.transition(state)
+        self._stale = True
         return entry
 
     def lifecycle_of(self, brick_id: str) -> BrickLifecycle:
@@ -272,17 +334,26 @@ class ResourceRegistry:
             raise OrchestrationError(f"unknown brick {brick_id!r}")
         return entry.lifecycle
 
+    def set_memory_failed(self, brick_id: str, failed: bool) -> MemoryEntry:
+        """Write a memory brick's failed flag and nothing else.
+
+        The flag alone is the rack-uplink fault's path: the brick is
+        healthy and keeps its content and power, it is only cut off.
+        """
+        entry = self.memory(brick_id)
+        entry.failed = failed
+        self._stale = True
+        return entry
+
     def mark_memory_failed(self, brick_id: str) -> MemoryEntry:
         """Exclude a failed memory brick from all future placement."""
-        entry = self.memory(brick_id)
-        entry.failed = True
+        entry = self.set_memory_failed(brick_id, True)
         entry.brick.power_off()
         return entry
 
     def restore_memory(self, brick_id: str) -> MemoryEntry:
         """Return a repaired memory brick to the placement pool."""
-        entry = self.memory(brick_id)
-        entry.failed = False
+        entry = self.set_memory_failed(brick_id, False)
         entry.brick.power_on()
         return entry
 
@@ -295,12 +366,14 @@ class ResourceRegistry:
         """
         entry = self.compute(brick_id)
         entry.failed = True
+        self._stale = True
         return entry
 
     def restore_compute(self, brick_id: str) -> ComputeEntry:
         """Return a repaired compute brick to the placement pool."""
         entry = self.compute(brick_id)
         entry.failed = False
+        self._stale = True
         return entry
 
     # -- power management ------------------------------------------------------------------
@@ -333,3 +406,27 @@ class ResourceRegistry:
         was_off = brick.power_state is PowerState.OFF
         brick.power_on()
         return was_off
+
+
+def _compute_snapshot(entry: ComputeEntry) -> ComputeAvailability:
+    hypervisor = entry.hypervisor
+    return ComputeAvailability(
+        brick_id=entry.brick.brick_id,
+        free_cores=entry.brick.core_count - hypervisor.cores_in_use(),
+        free_ram_bytes=hypervisor.kernel.available_bytes,
+        powered=entry.brick.is_powered,
+        hosts_vms=hypervisor.vm_count > 0,
+        rack_id=entry.rack_id,
+    )
+
+
+def _memory_snapshot(entry: MemoryEntry) -> MemoryAvailability:
+    allocator = entry.allocator
+    return MemoryAvailability(
+        brick_id=entry.brick.brick_id,
+        free_bytes=allocator.free_bytes,
+        largest_span_bytes=allocator.largest_free_span,
+        utilization=allocator.utilization,
+        powered=entry.brick.is_powered,
+        rack_id=entry.rack_id,
+    )

@@ -228,6 +228,20 @@ class ShardedSdmController(SdmController):
         index = bisect.bisect_left(ring, (point, "")) % len(ring)
         return ring[index][1]
 
+    def _serving_shards(self, candidates) -> dict[str, Optional[str]]:
+        """rack id -> the live shard serving it (``None`` while
+        unserved, see :meth:`rack_is_served`) for each distinct rack of
+        *candidates*: one :meth:`shard_of_rack` per rack, not per brick.
+        """
+        shards: dict[str, Optional[str]] = {}
+        for candidate in candidates:
+            rack_id = candidate.rack_id
+            if rack_id not in shards:
+                shard = self.shard_of_rack(rack_id)
+                shards[rack_id] = (None if shard in self._failed_shards
+                                   else shard)
+        return shards
+
     def takeover_map(self) -> dict[str, str]:
         """rack id -> shard currently serving it (introspection)."""
         return {rack_id: self.shard_of_rack(rack_id)
@@ -411,8 +425,9 @@ class ShardedSdmController(SdmController):
         """
         if shard in self._failed_shards:
             return None  # home shard down without takeover
-        candidates = [c for c in self.registry.memory_availability()
-                      if self.shard_of_rack(c.rack_id) == shard]
+        availability = self.registry.memory_availability()
+        shards = self._serving_shards(availability)
+        candidates = [c for c in availability if shards[c.rack_id] == shard]
         if not candidates:
             return None
         try:
@@ -424,9 +439,10 @@ class ShardedSdmController(SdmController):
     def _pick_remote_candidate(self, compute_entry, padded: int,
                                home: str, rejected: set) -> Optional[str]:
         """Policy pick among non-home-shard bricks (optimistic, no lock)."""
-        candidates = [c for c in self.registry.memory_availability()
-                      if self.shard_of_rack(c.rack_id) != home
-                      and self.rack_is_served(c.rack_id)
+        availability = self.registry.memory_availability()
+        shards = self._serving_shards(availability)
+        candidates = [c for c in availability
+                      if shards[c.rack_id] not in (home, None)
                       and c.brick_id not in rejected]
         if not candidates:
             return None
@@ -485,8 +501,10 @@ class ShardedSdmController(SdmController):
         """
         excluded: set[str] = set()
         while True:
-            candidates = [c for c in self.registry.compute_availability()
-                          if self.rack_is_served(c.rack_id)
+            availability = self.registry.compute_availability()
+            shards = self._serving_shards(availability)
+            candidates = [c for c in availability
+                          if shards[c.rack_id] is not None
                           and c.brick_id not in excluded]
             pick = self.policy.select_compute_brick(
                 candidates, request.vcpus, ram_bytes=0,
@@ -509,10 +527,11 @@ class ShardedSdmController(SdmController):
                     # below would reproduce it verbatim.
                     brick_id = pick
                 else:
+                    availability = self.registry.compute_availability()
+                    shards = self._serving_shards(availability)
                     shard_candidates = [
-                        c for c in self.registry.compute_availability()
-                        if self.shard_of_rack(c.rack_id) == shard
-                        and self.rack_is_served(c.rack_id)
+                        c for c in availability
+                        if shards[c.rack_id] == shard
                         and c.brick_id not in excluded]
                     brick_id = self.policy.select_compute_brick(
                         shard_candidates, request.vcpus, ram_bytes=0,

@@ -8,8 +8,7 @@ deterministic discrete-event simulation (DES) kernel in the style of SimPy.
   generator-based :class:`Process` coroutines, timeouts, condition
   events, cancellation and event-object recycling.
 * :mod:`repro.sim.queues` — the pending-event queue: a binary heap
-  served in ``(time, priority, sequence)`` order, with lazy
-  cancellation.
+  served in ``(time, sequence)`` order, with lazy cancellation.
 * :mod:`repro.sim.resources` — contention primitives (:class:`Resource`,
   :class:`Store`) used to model serialized controllers and queues.
 * :mod:`repro.sim.rng` — named, reproducible random-number streams.

@@ -1,7 +1,7 @@
 """Core discrete-event simulation engine.
 
 The engine follows the classic event-queue design: pending
-``(time, priority, sequence, event)`` entries are popped in order and
+``(time, sequence, event)`` entries are popped in order and
 each popped event runs its callbacks.  Model code is written as
 generator functions ("processes") that ``yield`` events; the
 :class:`Process` wrapper resumes the generator whenever the yielded
@@ -28,8 +28,8 @@ Throughput machinery (the kernel is a product metric — see
   longer ride the queue to end-of-run as tombstones.
 
 Every behaviour above preserves determinism: the
-``(time, priority, sequence)`` total order is unique, so any pooling
-decision produces bit-identical simulations.
+``(time, sequence)`` total order is unique, so any pooling decision
+produces bit-identical simulations.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.queues import HeapEventQueue
-
-#: Default scheduling priority; lower numbers run first at equal times.
-NORMAL_PRIORITY = 1
-#: Priority used for immediate resumption of processes (runs before normal).
-URGENT_PRIORITY = 0
 
 #: Per-pool cap on recycled event objects (bounds idle pool memory).
 POOL_LIMIT = 1024
@@ -474,8 +469,7 @@ class Simulator:
 
     # -- scheduling -----------------------------------------------------------
 
-    def schedule(self, event: Event, delay: float = 0.0,
-                 priority: int = NORMAL_PRIORITY) -> None:
+    def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Enqueue a triggered *event* to be processed after *delay*."""
         # ``not (delay >= 0)`` also catches NaN: NaN compares false
         # against everything, so the historical ``delay < 0`` check let
@@ -489,7 +483,7 @@ class Simulator:
         if delay == _INF:
             raise SimulationError("cannot schedule at an infinite delay")
         self._sequence = sequence = self._sequence + 1
-        self._queue.push(self._now + delay, priority, sequence, event)
+        self._queue.push(self._now + delay, sequence, event)
 
     # -- event factories --------------------------------------------------------
 
@@ -519,8 +513,7 @@ class Simulator:
         timeout._value = value
         timeout.delay = delay
         self._sequence = sequence = self._sequence + 1
-        self._queue.push(self._now + delay, NORMAL_PRIORITY, sequence,
-                         timeout)
+        self._queue.push(self._now + delay, sequence, timeout)
         return timeout
 
     def timeout_at(self, when: float, value: Any = None) -> Event:
@@ -541,7 +534,7 @@ class Simulator:
         event._triggered = True
         event._value = value
         self._sequence = sequence = self._sequence + 1
-        self._queue.push(when, NORMAL_PRIORITY, sequence, event)
+        self._queue.push(when, sequence, event)
         return event
 
     def process(self, generator: ProcessGenerator) -> Process:
@@ -580,7 +573,7 @@ class Simulator:
         if entry is None:
             raise SimulationError("simulation queue is empty")
         self._now = entry[0]
-        event = entry[3]
+        event = entry[2]
         entry = None  # release the entry tuple so recycling can trigger
         callbacks = event.callbacks
         event.callbacks = None
@@ -661,7 +654,7 @@ class Simulator:
                     if entry is None:
                         return None
                     self._now = entry[0]
-                    event = entry[3]
+                    event = entry[2]
                     entry = None
                     callbacks = event.callbacks
                     event.callbacks = None
@@ -693,7 +686,7 @@ class Simulator:
                             "simulation ran out of events before the "
                             "target event fired")
                     self._now = entry[0]
-                    event = entry[3]
+                    event = entry[2]
                     entry = None
                     callbacks = event.callbacks
                     event.callbacks = None
@@ -727,7 +720,7 @@ class Simulator:
                 if entry is None:
                     break
                 self._now = entry[0]
-                event = entry[3]
+                event = entry[2]
                 entry = None
                 callbacks = event.callbacks
                 event.callbacks = None

@@ -1,7 +1,7 @@
 """The DES kernel's pending-event queue.
 
 The :class:`~repro.sim.engine.Simulator` pops pending events in
-``(time, priority, sequence)`` order.  That total order is unique
+``(time, sequence)`` order.  That total order is unique
 (sequence numbers never repeat), so the queue's internal layout can
 never leak into a run: only the order it serves is observable.
 
@@ -23,10 +23,10 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Event
 
-#: An entry as stored in the queue: ``(time, priority, seq, event)``.
+#: An entry as stored in the queue: ``(time, seq, event)``.
 #: Tuples compare left-to-right in C, and the unique sequence number
 #: guarantees the event object itself is never compared.
-Entry = "tuple[float, int, int, Event]"
+Entry = "tuple[float, int, Event]"
 
 _INF = float("inf")
 
@@ -36,7 +36,7 @@ class EventQueue:
 
     Entries are pushed with a monotonically increasing *sequence*;
     ``pop()`` removes and returns the next live entry in
-    ``(time, priority, sequence)`` order (``None`` when empty), and
+    ``(time, sequence)`` order (``None`` when empty), and
     ``pop_until(horizon)`` does the same only if that entry's time is
     ``<= horizon``.  Entries whose event has been cancelled are
     discarded silently.  ``peek()`` is the time of the next live entry
@@ -51,7 +51,7 @@ class EventQueue:
 
 
 class HeapEventQueue(EventQueue):
-    """Binary heap of ``(time, priority, sequence, event)`` tuples."""
+    """Binary heap of ``(time, sequence, event)`` tuples."""
 
     __slots__ = ("_heap", "_live", "peak_size")
 
@@ -61,9 +61,8 @@ class HeapEventQueue(EventQueue):
         #: High-water mark of live entries (the bench's "peak heap").
         self.peak_size = 0
 
-    def push(self, time: float, priority: int, sequence: int,
-             event: "Event") -> None:
-        heappush(self._heap, (time, priority, sequence, event))
+    def push(self, time: float, sequence: int, event: "Event") -> None:
+        heappush(self._heap, (time, sequence, event))
         live = self._live = self._live + 1
         if live > self.peak_size:
             self.peak_size = live
@@ -72,7 +71,7 @@ class HeapEventQueue(EventQueue):
         heap = self._heap
         while heap:
             entry = heappop(heap)
-            if entry[3]._cancelled:
+            if entry[2]._cancelled:
                 continue
             self._live -= 1
             return entry
@@ -82,7 +81,7 @@ class HeapEventQueue(EventQueue):
         heap = self._heap
         while heap:
             head = heap[0]
-            if head[3]._cancelled:
+            if head[2]._cancelled:
                 heappop(heap)
                 continue
             if head[0] > horizon:
@@ -95,7 +94,7 @@ class HeapEventQueue(EventQueue):
         heap = self._heap
         while heap:
             head = heap[0]
-            if head[3]._cancelled:
+            if head[2]._cancelled:
                 heappop(heap)
                 continue
             return head[0]

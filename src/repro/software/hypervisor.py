@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import HypervisorError
 from repro.software.kernel import BaremetalKernel
@@ -72,6 +72,9 @@ class Hypervisor:
         # spawn, so the admission checks and availability snapshots stay
         # O(1) per query.
         self._cores_in_use = 0
+        #: Called after each of those four changes (``None`` when
+        #: unwatched).
+        self.on_change: Optional[Callable[[], None]] = None
 
     @property
     def brick_id(self) -> str:
@@ -114,6 +117,8 @@ class Hypervisor:
         self._dimms[vm_id] = []
         self._cores_in_use += vcpus
         vm.start()
+        if self.on_change is not None:
+            self.on_change()
         return vm, self.timings.vm_spawn_s
 
     def terminate_vm(self, vm_id: str) -> None:
@@ -125,6 +130,8 @@ class Hypervisor:
         del self._vms[vm_id]
         del self._dimms[vm_id]
         self._cores_in_use -= vm.vcpus
+        if self.on_change is not None:
+            self.on_change()
 
     # -- DIMM hotplug --------------------------------------------------------------
 
@@ -221,6 +228,8 @@ class Hypervisor:
         del self._vms[vm_id]
         del self._dimms[vm_id]
         self._cores_in_use -= vm.vcpus
+        if self.on_change is not None:
+            self.on_change()
         return vm, dimms
 
     def adopt_vm(self, vm: VirtualMachine,
@@ -243,6 +252,8 @@ class Hypervisor:
         self._vms[vm.vm_id] = vm
         self._dimms[vm.vm_id] = list(dimms or [])
         self._cores_in_use += vm.vcpus
+        if self.on_change is not None:
+            self.on_change()
 
     # -- accounting ---------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ so the hypervisor can admission-check VM memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import HotplugError, HypervisorError, SoftwareError
 from repro.hardware.bricks import ComputeBrick
@@ -54,6 +54,9 @@ class BaremetalKernel:
         #: The brick's data mover, once one is bound.  Remote reads and
         #: writes route through it; attach/detach keep it coherent.
         self.data_mover: Optional["DataMover"] = None
+        #: Called after every change to :attr:`available_bytes`
+        #: (reserve, release, attach, detach); ``None`` when unwatched.
+        self.on_change: Optional[Callable[[], None]] = None
 
     # -- RAM accounting ----------------------------------------------------------
 
@@ -79,6 +82,8 @@ class BaremetalKernel:
                 f"cannot reserve {size} bytes; only {self.available_bytes} "
                 f"available on {self.brick.brick_id}")
         self._reserved_bytes += size
+        if self.on_change is not None:
+            self.on_change()
 
     def release_ram(self, size: int) -> None:
         """Return RAM previously reserved."""
@@ -89,6 +94,8 @@ class BaremetalKernel:
                 f"release of {size} bytes exceeds reservation "
                 f"{self._reserved_bytes}")
         self._reserved_bytes -= size
+        if self.on_change is not None:
+            self.on_change()
 
     # -- segment attach/detach -----------------------------------------------------
 
@@ -114,6 +121,8 @@ class BaremetalKernel:
         if self.data_mover is not None:
             self.data_mover.register_segment(segment.segment_id,
                                              window.base, window.size)
+        if self.on_change is not None:
+            self.on_change()
         return record, latency
 
     def detach_segment(self, segment_id: str) -> float:
@@ -147,6 +156,8 @@ class BaremetalKernel:
                                               record.window_size)
         self.address_map.unmap_window(segment_id)
         del self._attached[segment_id]
+        if self.on_change is not None:
+            self.on_change()
         return latency
 
     def window_of_segment(self, segment_id: str) -> Optional[AttachedSegment]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.errors import FederationError
@@ -12,6 +14,7 @@ from repro.federation import (
     fragmentation_score,
     queue_depth_score,
 )
+from repro.federation.messages import PodStatus
 from repro.units import gib
 
 
@@ -215,3 +218,99 @@ class TestClaimsLedger:
         assert fed.placer.pending_claims == [claim]
         fed.placer.commit(claim)
         assert fed.placer.pending_claims == []
+
+
+@dataclass
+class CountingPod:
+    """A pod stub serving a fixed load and counting its measurements."""
+
+    free_gib: int
+    free_cores: int = 16
+    alive: bool = True
+    draining: bool = False
+    measured: int = 0
+
+    def load_snapshot(self) -> PodStatus:
+        self.measured += 1
+        return PodStatus(free_memory_bytes=gib(self.free_gib),
+                         free_cores=self.free_cores, queue_depth=0,
+                         fragmentation=0.0, utilization=0.0, idle=True,
+                         alive=self.alive)
+
+
+def two_pass_place(placer, tenant_id, ram_bytes, vcpus, home):
+    """The spill path as it was: the home pod first, then a snapshot
+    of every pod, the home pod included."""
+    conflicted = placer._conflicted_pods(tenant_id)
+    if (placer.pod_accepting(home) and home not in conflicted
+            and placer.fits(placer.snapshot(home), ram_bytes, vcpus)):
+        return home
+    fitting = [s for s in placer.snapshots()
+               if s.pod_id != home and placer.pod_accepting(s.pod_id)
+               and placer.fits(s, ram_bytes, vcpus)]
+    preferred = [s for s in fitting if s.pod_id not in conflicted] or fitting
+    if not preferred:
+        return home
+    if placer.spill_policy == "first-fit":
+        return preferred[0].pod_id
+    preferred.sort(key=lambda s: (-placer.scoring(s), s.pod_id))
+    return preferred[0].pod_id
+
+
+#: name -> (per-pod stub arguments, pods hosting a group-mate of "t").
+PLACEMENT_TABLE = {
+    "home-fits": ({"pod0": dict(free_gib=8), "pod1": dict(free_gib=16),
+                   "pod2": dict(free_gib=4)}, ()),
+    "spill": ({"pod0": dict(free_gib=1), "pod1": dict(free_gib=4),
+               "pod2": dict(free_gib=8)}, ()),
+    "spill-on-cores": ({"pod0": dict(free_gib=16, free_cores=0),
+                        "pod1": dict(free_gib=2), "pod2": dict(free_gib=2)},
+                       ()),
+    "nothing-fits": ({"pod0": dict(free_gib=1), "pod1": dict(free_gib=1),
+                      "pod2": dict(free_gib=0)}, ()),
+    "draining-home": ({"pod0": dict(free_gib=16, draining=True),
+                       "pod1": dict(free_gib=2), "pod2": dict(free_gib=3)},
+                      ()),
+    "draining-target": ({"pod0": dict(free_gib=1),
+                         "pod1": dict(free_gib=16, draining=True),
+                         "pod2": dict(free_gib=3)}, ()),
+    "dead-target": ({"pod0": dict(free_gib=1),
+                     "pod1": dict(free_gib=3),
+                     "pod2": dict(free_gib=16, alive=False)}, ()),
+    "group-mate-at-home": ({"pod0": dict(free_gib=16),
+                            "pod1": dict(free_gib=2),
+                            "pod2": dict(free_gib=4)}, ("pod0",)),
+    "group-mates-everywhere": ({"pod0": dict(free_gib=1),
+                                "pod1": dict(free_gib=2),
+                                "pod2": dict(free_gib=4)},
+                               ("pod1", "pod2")),
+}
+
+
+class TestSingleMeasurement:
+    @staticmethod
+    def placer(policy, pods, mates):
+        placer = GlobalPlacer(spill_policy=policy,
+                              anti_affinity=lambda t: "group")
+        placer.bind(pods)
+        for index, pod_id in enumerate(mates):
+            placer.commit(placer.reserve(pod_id, 0, 0,
+                                         tenant_id=f"mate{index}"))
+        return placer
+
+    @pytest.mark.parametrize("policy", ["first-fit", "least-loaded"])
+    @pytest.mark.parametrize("case", sorted(PLACEMENT_TABLE))
+    def test_place_measures_each_pod_once_and_agrees(self, case, policy):
+        layout, mates = PLACEMENT_TABLE[case]
+
+        def pods():
+            return {pod_id: CountingPod(**kwargs)
+                    for pod_id, kwargs in layout.items()}
+
+        expected = two_pass_place(self.placer(policy, pods(), mates),
+                                  "t", gib(2), 2, "pod0")
+        live = pods()
+        placer = self.placer(policy, live, mates)
+        assert placer.place("t", gib(2), 2, home="pod0") == expected
+        assert all(pod.measured <= 1 for pod in live.values()), {
+            pod_id: pod.measured for pod_id, pod in live.items()}

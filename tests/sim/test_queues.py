@@ -1,7 +1,7 @@
 """Unit and property tests for the kernel's pending-event queue.
 
 The determinism contract: the queue serves the total order
-``(time, priority, sequence)``, never surfaces a cancelled entry and
+``(time, sequence)``, never surfaces a cancelled entry and
 counts only live entries.  The property tests replay randomized op
 tapes (pushes, pops, horizon pops, cancellations) against
 :class:`HeapEventQueue` and against a sorted-list reference that
@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.sim.engine import NORMAL_PRIORITY, URGENT_PRIORITY, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.queues import HeapEventQueue
 
 
@@ -34,7 +34,7 @@ def _drain(queue):
         entry = queue.pop()
         if entry is None:
             break
-        entries.append(entry[:3])
+        entries.append(entry[:2])
     return entries
 
 
@@ -51,36 +51,31 @@ class TestBackendContract:
     def test_peek_empty_is_infinite(self, queue):
         assert queue.peek() == math.inf
 
-    def test_orders_by_time_priority_sequence(self, queue):
+    def test_orders_by_time_then_sequence(self, queue):
         token = _Token()
-        queue.push(2.0, NORMAL_PRIORITY, 0, token)
-        queue.push(1.0, NORMAL_PRIORITY, 1, token)
-        queue.push(1.0, URGENT_PRIORITY, 2, token)
-        queue.push(1.0, NORMAL_PRIORITY, 3, token)
-        assert _drain(queue) == [
-            (1.0, URGENT_PRIORITY, 2),
-            (1.0, NORMAL_PRIORITY, 1),
-            (1.0, NORMAL_PRIORITY, 3),
-            (2.0, NORMAL_PRIORITY, 0),
-        ]
+        queue.push(2.0, 0, token)
+        queue.push(1.0, 1, token)
+        queue.push(1.0, 2, token)
+        queue.push(1.0, 3, token)
+        assert _drain(queue) == [(1.0, 1), (1.0, 2), (1.0, 3), (2.0, 0)]
 
     def test_pop_until_respects_horizon(self, queue):
         token = _Token()
-        queue.push(1.0, NORMAL_PRIORITY, 0, token)
-        queue.push(5.0, NORMAL_PRIORITY, 1, token)
+        queue.push(1.0, 0, token)
+        queue.push(5.0, 1, token)
         assert queue.pop_until(2.0)[0] == 1.0
         assert queue.pop_until(2.0) is None
         assert len(queue) == 1  # the 5.0 entry is still queued
         assert queue.pop_until(5.0)[0] == 5.0
 
     def test_pop_until_horizon_is_inclusive(self, queue):
-        queue.push(3.0, NORMAL_PRIORITY, 0, _Token())
+        queue.push(3.0, 0, _Token())
         assert queue.pop_until(3.0) is not None
 
     def test_peek_skips_cancelled_head(self, queue):
         doomed, kept = _Token(), _Token()
-        queue.push(1.0, NORMAL_PRIORITY, 0, doomed)
-        queue.push(2.0, NORMAL_PRIORITY, 1, kept)
+        queue.push(1.0, 0, doomed)
+        queue.push(2.0, 1, kept)
         doomed._cancelled = True
         queue.note_cancel(doomed)
         assert queue.peek() == 2.0
@@ -89,7 +84,7 @@ class TestBackendContract:
     def test_cancelled_entries_never_surface(self, queue):
         tokens = [_Token() for _ in range(10)]
         for index, token in enumerate(tokens):
-            queue.push(float(index), NORMAL_PRIORITY, index, token)
+            queue.push(float(index), index, token)
         for token in tokens[::2]:
             token._cancelled = True
             queue.note_cancel(token)
@@ -99,7 +94,7 @@ class TestBackendContract:
     def test_len_and_peak_track_live_entries(self, queue):
         token = _Token()
         for index in range(5):
-            queue.push(float(index), NORMAL_PRIORITY, index, token)
+            queue.push(float(index), index, token)
         assert len(queue) == 5
         assert queue.peak_size == 5
         queue.pop()
@@ -112,7 +107,7 @@ class _SortedReference:
     """The queue contract stated directly, with no structure to get wrong.
 
     Every operation scans all entries: pop the minimum
-    ``(time, priority, sequence)`` among the live ones; ``len`` counts
+    ``(time, sequence)`` among the live ones; ``len`` counts
     the live ones.  Cancellation needs no bookkeeping at all.
     """
 
@@ -121,19 +116,19 @@ class _SortedReference:
 
     def _live(self) -> list:
         return [entry for entry in self._entries.values()
-                if not entry[3]._cancelled]
+                if not entry[2]._cancelled]
 
-    def push(self, time, priority, sequence, event) -> None:
-        self._entries[sequence] = (time, priority, sequence, event)
+    def push(self, time, sequence, event) -> None:
+        self._entries[sequence] = (time, sequence, event)
 
     def pop_until(self, horizon):
         live = self._live()
         if not live:
             return None
-        head = min(live, key=lambda entry: entry[:3])
+        head = min(live, key=lambda entry: entry[:2])
         if head[0] > horizon:
             return None
-        del self._entries[head[2]]
+        del self._entries[head[1]]
         return head
 
     def pop(self):
@@ -159,9 +154,7 @@ def _random_workload(rng, operations):
                 delay = rng.uniform(10.0, 1000.0)
             else:
                 delay = rng.choice((0.0, 0.5, 0.5, 2.0))
-            priority = (URGENT_PRIORITY if rng.random() < 0.1
-                        else NORMAL_PRIORITY)
-            tape.append(("push", delay, priority))
+            tape.append(("push", delay))
         elif roll < 0.8:
             tape.append(("pop",))
         elif roll < 0.85:
@@ -184,9 +177,9 @@ def _replay(queue, tape):
     for op in tape:
         kind = op[0]
         if kind == "push":
-            _, delay, priority = op
+            _, delay = op
             token = _Token()
-            queue.push(now + delay, priority, sequence, token)
+            queue.push(now + delay, sequence, token)
             pending[sequence] = (now + delay, token)
             sequence += 1
         elif kind == "cancel":  # the n-th oldest pending entry, if any
@@ -206,8 +199,8 @@ def _replay(queue, tape):
                     (time for time, _ in pending.values()), default=now))
             if entry is not None:
                 now = entry[0]
-                pending.pop(entry[2], None)
-            history.append(entry[:3] if entry else None)
+                pending.pop(entry[1], None)
+            history.append(entry[:2] if entry else None)
         history.append(len(queue))
     history.extend(_drain(queue))
     return history
