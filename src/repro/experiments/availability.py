@@ -315,22 +315,19 @@ def run_availability(mtbf_axis: tuple[float, ...] = DEFAULT_MTBF_AXIS,
     because the scripted-outage schedule targets pods 0..2 by name.
 
     The parallel federation backend (*workers* / *sync_window*, the
-    CLI ``--workers`` / ``--sync-window`` flags) is rejected here: the
-    injector's sub-pod fault classes (memory bricks, rack uplinks,
-    switches, shards) reach directly into pod internals, which live in
-    other OS processes under that backend — only whole-pod faults
-    cross the wire (see :meth:`~repro.federation.parallel.
-    ParallelFederationController.schedule_pod_fault`).
+    CLI ``--workers`` / ``--sync-window`` flags) is rejected here: it
+    has no fault path.  The injector's fault classes (memory bricks,
+    rack uplinks, switches, shards, whole pods) and self-healing reach
+    directly into pod internals, which live in other simulators — and
+    possibly other OS processes — under that backend.
     """
     if workers is not None or sync_window is not None:
         raise ConfigurationError(
             "the availability sweep only runs on the serial federation "
-            "backend: its sub-pod fault classes (memory_brick, "
-            "rack_uplink, switch, shard) manipulate pod internals that "
-            "are process-local under --workers; drop --workers/"
-            "--sync-window here, or use the federation sweep (or "
-            "schedule_pod_fault on the parallel controller) for "
-            "pod-class faults")
+            "backend: the parallel backend has no fault path (fault "
+            "injection and self-healing manipulate pod internals that "
+            "are process-local under --workers); drop --workers/"
+            "--sync-window here")
     if mtbf is not None and mtbf <= 0:
         raise ConfigurationError(f"--mtbf must be positive, got {mtbf}")
     if self_heal is not None and self_heal not in ("on", "off"):

@@ -226,8 +226,7 @@ def _run_cell(base: TopologySpec, pod_count: int, rate_hz: float,
                         sync_window_s=sync_window,
                         rebalancer=rebalancer)
     federation = topo.federation
-    pod_ids = sorted(federation.pods if workers is None
-                     else federation.handles)
+    pod_ids = sorted(federation.pods)
     close = topo.close
     # One trace per (rate, seed): every policy/pod-count cell at a rate
     # faces literally the same offered load.

@@ -330,7 +330,7 @@ def _run_parallel(spec: TopologySpec, workers: int, tenant_count: int,
     federation = topo.federation
     try:
         trace = _trace(tenant_count, seed)
-        home_of = _home_of(sorted(federation.handles), 1.0 / spec.pods)
+        home_of = _home_of(sorted(federation.pods), 1.0 / spec.pods)
         with _quiet_gc():
             start = time.perf_counter()
             stats = federation.serve_trace(trace, home_of=home_of)

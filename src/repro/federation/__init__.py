@@ -7,8 +7,9 @@ plane and sharded SDM controller — under a global placement tier:
 
 * :mod:`repro.federation.placer` — locality-first tenant-to-pod
   placement with capacity spill (pluggable scoring);
-* :mod:`repro.federation.controller` — the federation controller: N
-  pods on one shared DES clock, request routing, tenant lifecycles;
+* :mod:`repro.federation.controller` — the coordinator both backends
+  share (routing, tenant lifecycles, migration, rebalancing over a pod
+  port) and its direct port: N pods on one shared DES clock;
 * :mod:`repro.federation.migration` — two-phase inter-pod tenant
   migration (reserve in target, copy, commit/rollback);
 * :mod:`repro.federation.rebalancer` — idle-window draining of
@@ -18,6 +19,7 @@ plane and sharded SDM controller — under a global placement tier:
 from repro.federation.controller import (
     DEFAULT_INTERPOD_LINK_BPS,
     FederatedPod,
+    Federation,
     FederationController,
     FederationStats,
     build_federation,
@@ -37,6 +39,7 @@ from repro.federation.rebalancer import FederationRebalancer, RebalanceReport
 __all__ = [
     "DEFAULT_INTERPOD_LINK_BPS",
     "FederatedPod",
+    "Federation",
     "FederationController",
     "FederationRebalancer",
     "FederationStats",

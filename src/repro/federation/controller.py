@@ -2,15 +2,10 @@
 
 dReDBox's orchestration story ends at the pod — one SDM controller
 (sharded or not) behind one :class:`~repro.fabric.fabric.PodFabric`.
-:class:`FederationController` is the next tier up: it manages N
-**independent** pods, each a full
-:class:`~repro.core.system.DisaggregatedSystem` with its own
-:class:`~repro.cluster.control_plane.ControlPlane` and (typically)
-:class:`~repro.orchestration.sharding.ShardedSdmController`, on **one
-shared DES clock** — every pod's admission queue, dispatcher workers
-and shard critical sections interleave on the same simulator, while
-each pod keeps its own :class:`~repro.sim.control.ControlContext` so
-two pods' shard domains never alias onto one critical section.
+The federation is the next tier up: it manages N **independent** pods,
+each a full :class:`~repro.core.system.DisaggregatedSystem` with its
+own :class:`~repro.cluster.control_plane.ControlPlane` and (typically)
+:class:`~repro.orchestration.sharding.ShardedSdmController`.
 
 The federation adds exactly three things the pod tier cannot express:
 
@@ -27,6 +22,31 @@ The federation adds exactly three things the pod tier cannot express:
   overloaded pods, reusing the defragmentation task's scheduling
   discipline.
 
+One coordinator, :class:`Federation`, holds all three plus the tenant
+lifecycle and the routing tables.  It reaches a pod only through four
+**port** methods, and each backend implements them once:
+
+====================  ====================  ==========================
+port method           direct (this module)  wire (:mod:`~repro.
+                                            federation.parallel`)
+====================  ====================  ==========================
+``_submit_to``        ``plane.submit``,     a ``SubmitCmd``; the reply
+                      wait on its ``done``  rebuilt as a record
+``_drain``            wait on the tenant's  ``DrainCmd`` /
+                      tail, read the VM     ``DrainedReply``
+``_footprint``        the live VM           the committed-claim ledger
+``is_idle``           every plane idle      every pod idle at its last
+                                            barrier, no reply pending
+====================  ====================  ==========================
+
+:class:`FederationController` is the direct port: every pod's
+admission queue, dispatcher workers and shard critical sections
+interleave on **one shared DES clock**, while each pod keeps its own
+:class:`~repro.sim.control.ControlContext` so two pods' shard domains
+never alias onto one critical section.  It also carries the
+operational surface that needs live pods: pod failure, re-admission
+and the public ``submit`` the injector and supervisor drive.
+
 Tenant identity is federation-scoped: requests are routed to the pod
 the tenant currently lives in, a per-tenant migration gate defers
 submissions that race with a move, and each pod's own same-tenant FIFO
@@ -36,8 +56,9 @@ reassignment.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -47,12 +68,11 @@ from repro.cluster.trace import TenantSpec, TenantTrace, start_arrivals
 from repro.core.builder import PodBuilder
 from repro.core.system import DisaggregatedSystem
 from repro.errors import FederationError, ReproError
-from repro.federation.messages import PodStatus, measure_pod
+from repro.federation.messages import PodStatus, measure_pod, plane_payload
 from repro.federation.migration import InterPodMigrator, MigrationOutcome
 from repro.federation.placer import GlobalPlacer
 from repro.federation.rebalancer import FederationRebalancer
 from repro.orchestration.placement import make_placement_policy
-from repro.orchestration.requests import VmAllocationRequest
 from repro.sim.control import ControlContext
 from repro.sim.engine import Event, ProcessGenerator, Simulator
 from repro.units import gbps, gib, mib
@@ -83,10 +103,10 @@ class FederatedPod:
         """The pod's current load, in the wire-protocol form.
 
         The placer and rebalancer consume pods exclusively through
-        this measurement, so the parallel federation can substitute a
-        coordinator-side handle serving the same numbers from its last
-        window barrier (:mod:`repro.federation.parallel`) without any
-        policy code noticing.
+        this measurement, so the wire port's coordinator-side
+        :class:`~repro.federation.parallel.PodHandle` can serve the
+        same numbers from its last window barrier without any policy
+        code noticing.
         """
         return measure_pod(self.system, self.plane, self.alive)
 
@@ -134,38 +154,23 @@ class FederationStats:
         return merged
 
 
-class FederationController:
-    """Global placement + migration + rebalancing over N pods."""
+class Federation(ABC):
+    """The coordinator both backends share: inventory, routed submit,
+    tenant lifecycle, inter-pod migration and the rebalancer.
 
-    def __init__(self, systems: Sequence[DisaggregatedSystem], *,
-                 pod_ids: Optional[Sequence[str]] = None,
-                 placer: Optional[GlobalPlacer] = None,
-                 interpod_link_bps: float = DEFAULT_INTERPOD_LINK_BPS,
-                 rebalancer: Optional[FederationRebalancer] = None,
-                 max_batch: int = 4,
-                 batch_window_s: float = 0.001,
-                 workers: int = 8,
-                 offload: bool = True) -> None:
-        if not systems:
-            raise FederationError("a federation needs at least one pod")
-        ids = list(pod_ids) if pod_ids is not None else [
-            system.pod.pod_id if system.pod is not None else f"pod{index}"
-            for index, system in enumerate(systems)]
-        if len(ids) != len(systems):
-            raise FederationError(
-                f"{len(systems)} systems but {len(ids)} pod ids")
-        if len(set(ids)) != len(ids):
-            raise FederationError(f"duplicate pod ids in {ids}")
-        self.sim = Simulator()
-        self.pods: dict[str, FederatedPod] = {}
-        for pod_id, system in zip(ids, systems):
-            plane = ControlPlane(
-                system, ctx=ControlContext(sim=self.sim),
-                max_batch=max_batch, batch_window_s=batch_window_s,
-                workers=workers, offload=offload)
-            self.pods[pod_id] = FederatedPod(pod_id, system, plane)
+    A backend supplies the pods (a mapping of pod id to an object with
+    ``alive``, ``draining`` and ``load_snapshot()``) and the four port
+    methods; everything else runs here, identically on either port.
+    """
+
+    def __init__(self, sim: Simulator, pods: Mapping[str, object], *,
+                 placer: Optional[GlobalPlacer],
+                 interpod_link_bps: float,
+                 rebalancer: Optional[FederationRebalancer]) -> None:
+        self.sim = sim
+        self.pods = pods
         self.placer = placer if placer is not None else GlobalPlacer()
-        self.placer.bind(self.pods)
+        self.placer.bind(pods)
         self.interpod_link_bps = interpod_link_bps
         self.stats = FederationStats()
         self.migrator = InterPodMigrator(self)
@@ -180,6 +185,35 @@ class FederationController:
         self.rebalancer = rebalancer
         if rebalancer is not None:
             rebalancer.install(self)
+
+    # -- the pod port --------------------------------------------------------
+
+    @abstractmethod
+    def _submit_to(self, pod_id: str, kind: str, tenant_id: str,
+                   ram_bytes: int = 0, vcpus: int = 0,
+                   size_bytes: int = 0) -> ProcessGenerator:
+        """DES process: push one request through *pod_id*'s admission
+        pipeline (keywords as in :func:`~repro.federation.messages.
+        plane_payload`); returns its :class:`~repro.cluster.metrics.
+        RequestRecord` once it is served or rejected."""
+
+    @abstractmethod
+    def _drain(self, pod_id: str, tenant_id: str) -> ProcessGenerator:
+        """DES process: wait out the tenant's in-flight requests on
+        *pod_id*; returns ``(ram_bytes, vcpus)`` — the full footprint an
+        inter-pod move must copy — or ``None`` when the tenant departed
+        meanwhile."""
+
+    @abstractmethod
+    def _footprint(self, pod_id: str,
+                   tenant_id: str) -> Optional[tuple[int, int]]:
+        """``(ram_bytes, vcpus)`` the rebalancer plans a move of the
+        tenant with, or ``None`` when it cannot be moved."""
+
+    @abstractmethod
+    def is_idle(self) -> bool:
+        """True when no move is in flight and every pod is idle — the
+        rebalancer's idle-window gate."""
 
     # -- inventory ----------------------------------------------------------
 
@@ -202,11 +236,169 @@ class FederationController:
         return sorted(tenant for tenant, pod in self._tenant_pod.items()
                       if pod == pod_id)
 
-    def tenant_footprint(self, tenant_id: str) -> int:
-        """The tenant's total memory footprint — boot RAM plus every
-        hotplugged runtime DIMM — what an inter-pod move must copy."""
-        pod = self.pods[self.pod_of(tenant_id)]
-        return pod.system.hosting(tenant_id).vm.configured_ram_bytes
+    def migration_gate(self, tenant_id: str) -> Optional[Event]:
+        """The gate of the tenant's in-flight move, if one is running."""
+        return self._moving.get(tenant_id)
+
+    # -- request routing ----------------------------------------------------
+
+    def _submit_routed(self, kind: str, tenant_id: str,
+                       size_bytes: int = 0) -> ProcessGenerator:
+        """DES process: wait out any in-flight move of the tenant, then
+        submit to the pod it landed in and wait for the request.  A
+        served ``depart`` deregisters the tenant, so routing tables
+        never hold tenants that no longer exist.  Returns the
+        request's record."""
+        gate = self._moving.get(tenant_id)
+        if gate is not None and not gate.triggered:
+            yield gate
+        pod_id = self.pod_of(tenant_id)
+        record = yield from self._submit_to(pod_id, kind, tenant_id,
+                                            size_bytes=size_bytes)
+        if kind == "depart" and record.ok:
+            self._deregister(tenant_id, pod_id)
+        return record
+
+    def _deregister(self, tenant_id: str, pod_id: str) -> None:
+        """A served depart ended the tenant's residence on *pod_id*."""
+        # Only drop a mapping this depart really ended: a move that
+        # re-homed the tenant meanwhile owns the new one.
+        if self._tenant_pod.get(tenant_id) != pod_id:
+            return
+        del self._tenant_pod[tenant_id]
+        # Same guard for the committed-claim ledger: a migration or
+        # re-admission that re-homed the tenant owns the newer entry.
+        ledger = self.placer.ledger_claim(tenant_id)
+        if ledger is not None and ledger.pod_id == pod_id:
+            self.placer.forget(tenant_id)
+        for hook in self.depart_hooks:
+            hook(tenant_id, pod_id)
+
+    # -- migration ----------------------------------------------------------
+
+    def migrate_tenant_process(self, tenant_id: str,
+                               target_pod_id: str) -> ProcessGenerator:
+        """DES process: move a tenant to another pod (two-phase; see
+        :mod:`repro.federation.migration`).  Returns the
+        :class:`~repro.federation.migration.MigrationOutcome`."""
+        outcome: MigrationOutcome = yield from self.migrator.migrate_process(
+            tenant_id, target_pod_id)
+        return outcome
+
+    # -- tenant lifecycles --------------------------------------------------
+
+    def _tenant(self, spec: TenantSpec,
+                home_of: Optional[Callable[[TenantSpec], str]]
+                ) -> ProcessGenerator:
+        home = (home_of(spec) if home_of is not None
+                else self.placer.home_pod(spec.tenant_id))
+        pod_id = self.placer.place(spec.tenant_id, spec.ram_bytes,
+                                   spec.vcpus, home=home)
+        # Two-phase admission: the claim covers the decision-to-
+        # reservation window, then the pod's own allocators take over.
+        claim = self.placer.reserve(pod_id, spec.ram_bytes, spec.vcpus,
+                                    tenant_id=spec.tenant_id)
+        self._tenant_pod[spec.tenant_id] = pod_id
+        boot = yield from self._submit_to(
+            pod_id, "boot", spec.tenant_id,
+            ram_bytes=spec.ram_bytes, vcpus=spec.vcpus)
+        self.stats.admission_records.append(boot)
+        if not boot.ok:
+            self.placer.release(claim)
+            self.stats.boots_rejected += 1
+            del self._tenant_pod[spec.tenant_id]
+            return
+        self.placer.commit(claim)
+        self.stats.boots_admitted += 1
+        if pod_id != home:
+            self.stats.spills += 1
+        booted_at = self.sim.now
+
+        for event in spec.scale_events:
+            yield self.sim.timeout(max(
+                0.0, booted_at + event.at_s - self.sim.now))
+            if event.kind == "up":
+                yield from self._submit_routed(
+                    "scale_up", spec.tenant_id,
+                    size_bytes=event.size_bytes)
+            else:
+                # Serve-time resolution: the segment to return is
+                # whatever is attached *now*, in whatever pod the
+                # tenant lives in by then.
+                yield from self._submit_routed("scale_down",
+                                               spec.tenant_id)
+        if spec.migrate_at_s is not None:
+            yield self.sim.timeout(max(
+                0.0, booted_at + spec.migrate_at_s - self.sim.now))
+            # A rejected intra-pod migration is fine.
+            yield from self._submit_routed("migrate", spec.tenant_id)
+        yield self.sim.timeout(max(
+            0.0, booted_at + spec.lifetime_s - self.sim.now))
+        yield from self._submit_routed("depart", spec.tenant_id)
+        self._tenant_pod.pop(spec.tenant_id, None)
+
+
+class FederationController(Federation):
+    """The coordinator over the direct port: N pods on one shared
+    clock, reached with direct object calls."""
+
+    def __init__(self, systems: Sequence[DisaggregatedSystem], *,
+                 pod_ids: Optional[Sequence[str]] = None,
+                 placer: Optional[GlobalPlacer] = None,
+                 interpod_link_bps: float = DEFAULT_INTERPOD_LINK_BPS,
+                 rebalancer: Optional[FederationRebalancer] = None,
+                 max_batch: int = 4,
+                 batch_window_s: float = 0.001,
+                 workers: int = 8,
+                 offload: bool = True) -> None:
+        if not systems:
+            raise FederationError("a federation needs at least one pod")
+        ids = list(pod_ids) if pod_ids is not None else [
+            system.pod.pod_id if system.pod is not None else f"pod{index}"
+            for index, system in enumerate(systems)]
+        if len(ids) != len(systems):
+            raise FederationError(
+                f"{len(systems)} systems but {len(ids)} pod ids")
+        if len(set(ids)) != len(ids):
+            raise FederationError(f"duplicate pod ids in {ids}")
+        sim = Simulator()
+        pods: dict[str, FederatedPod] = {}
+        for pod_id, system in zip(ids, systems):
+            plane = ControlPlane(
+                system, ctx=ControlContext(sim=sim),
+                max_batch=max_batch, batch_window_s=batch_window_s,
+                workers=workers, offload=offload)
+            pods[pod_id] = FederatedPod(pod_id, system, plane)
+        super().__init__(sim, pods, placer=placer,
+                         interpod_link_bps=interpod_link_bps,
+                         rebalancer=rebalancer)
+
+    # -- the direct port ----------------------------------------------------
+
+    def _submit_to(self, pod_id: str, kind: str, tenant_id: str,
+                   ram_bytes: int = 0, vcpus: int = 0,
+                   size_bytes: int = 0) -> ProcessGenerator:
+        request = self.pods[pod_id].plane.submit(
+            kind, tenant_id, **plane_payload(kind, tenant_id, ram_bytes,
+                                             vcpus, size_bytes))
+        yield request.done
+        return request.record
+
+    def _drain(self, pod_id: str, tenant_id: str) -> ProcessGenerator:
+        tail = self.pods[pod_id].plane.tenant_tail(tenant_id)
+        if tail is not None and not tail.triggered:
+            yield tail
+        return self._footprint(pod_id, tenant_id)
+
+    def _footprint(self, pod_id: str,
+                   tenant_id: str) -> Optional[tuple[int, int]]:
+        try:
+            vm = self.pods[pod_id].system.hosting(tenant_id).vm
+        except ReproError:
+            return None  # the registration went stale: it departed
+        # Boot RAM plus every runtime DIMM (each backed by a remote
+        # segment on this side).
+        return vm.configured_ram_bytes, vm.vcpus
 
     def is_idle(self) -> bool:
         """True when every pod's plane is idle and no move is in flight."""
@@ -214,7 +406,13 @@ class FederationController:
                 and all(pod.plane.is_idle()
                         for pod in self.pods.values()))
 
-    # -- request routing ----------------------------------------------------
+    # -- operational surface --------------------------------------------------
+
+    def tenant_footprint(self, tenant_id: str) -> int:
+        """The tenant's total memory footprint — boot RAM plus every
+        hotplugged runtime DIMM — what an inter-pod move must copy."""
+        pod = self.pods[self.pod_of(tenant_id)]
+        return pod.system.hosting(tenant_id).vm.configured_ram_bytes
 
     def submit(self, kind: str, tenant_id: str,
                **payload) -> ClusterRequest:
@@ -231,19 +429,8 @@ class FederationController:
             kind, tenant_id, **payload)
         if kind == "depart":
             def deregister(_event) -> None:
-                # Only drop a mapping this depart really ended: a move
-                # that re-homed the tenant meanwhile owns the new one.
-                if (request.record.ok
-                        and self._tenant_pod.get(tenant_id) == pod_id):
-                    del self._tenant_pod[tenant_id]
-                    # Same guard for the committed-claim ledger: a
-                    # migration/re-admission that re-homed the tenant
-                    # owns the newer entry.
-                    ledger = self.placer.ledger_claim(tenant_id)
-                    if ledger is not None and ledger.pod_id == pod_id:
-                        self.placer.forget(tenant_id)
-                    for hook in self.depart_hooks:
-                        hook(tenant_id, pod_id)
+                if request.record.ok:
+                    self._deregister(tenant_id, pod_id)
             request.done.callbacks.append(deregister)
         return request
 
@@ -258,23 +445,6 @@ class FederationController:
             yield gate
         return self.submit(kind, tenant_id, **payload)
 
-    def migration_gate(self, tenant_id: str) -> Optional[Event]:
-        """The gate of the tenant's in-flight move, if one is running."""
-        return self._moving.get(tenant_id)
-
-    # -- migration ----------------------------------------------------------
-
-    def migrate_tenant_process(self, tenant_id: str,
-                               target_pod_id: str) -> ProcessGenerator:
-        """DES process: move a tenant to another pod (two-phase; see
-        :mod:`repro.federation.migration`).  Returns the
-        :class:`~repro.federation.migration.MigrationOutcome`."""
-        outcome: MigrationOutcome = yield from self.migrator.migrate_process(
-            tenant_id, target_pod_id)
-        return outcome
-
-    # -- pod failure and re-admission ---------------------------------------
-
     def fail_pod(self, pod_id: str) -> list[str]:
         """Take a whole pod down (fault injection).
 
@@ -282,9 +452,8 @@ class FederationController:
         until repair), the placer stops routing new tenants to it, and
         the tenants currently living there — returned, sorted — are cut
         off.  Without self-healing they stay down until
-        :meth:`restore_pod`; with it,
-        :meth:`readmit_pod_tenants_process` boots them elsewhere from
-        the committed-claim ledger.
+        :meth:`restore_pod`; with it, the fault injector boots each
+        elsewhere through :meth:`readmit_tenant_process`.
         """
         pod = self.pods.get(pod_id)
         if pod is None:
@@ -304,26 +473,6 @@ class FederationController:
             raise FederationError(f"pod {pod_id!r} is not failed")
         pod.alive = True
         pod.plane.resume()
-
-    def readmit_pod_tenants_process(self, pod_id: str) -> ProcessGenerator:
-        """DES process: re-admit a lost pod's tenants elsewhere.
-
-        Replays the placer's committed-claim ledger for *pod_id* in
-        tenant-id order (deterministic), booting each tenant on the
-        best surviving pod.  Returns ``(readmitted, failed)`` tenant-id
-        lists; failures (no surviving capacity) leave the tenant parked
-        on the dead pod until repair.
-        """
-        readmitted: list[str] = []
-        failed: list[str] = []
-        for claim in self.placer.ledger_for_pod(pod_id):
-            new_pod = yield from self.readmit_tenant_process(
-                claim.tenant_id)
-            if new_pod is None:
-                failed.append(claim.tenant_id)
-            else:
-                readmitted.append(claim.tenant_id)
-        return readmitted, failed
 
     def readmit_tenant_process(self, tenant_id: str) -> ProcessGenerator:
         """DES process: boot a lost tenant's replacement elsewhere.
@@ -359,13 +508,10 @@ class FederationController:
                 target, claim.ram_bytes, claim.vcpus,
                 tenant_id=tenant_id)
             self._tenant_pod[tenant_id] = target
-            boot = self.pods[target].plane.submit(
-                "boot", tenant_id,
-                request=VmAllocationRequest(
-                    vm_id=tenant_id, vcpus=claim.vcpus,
-                    ram_bytes=claim.ram_bytes))
-            yield boot.done
-            if not boot.record.ok:
+            boot = yield from self._submit_to(
+                target, "boot", tenant_id,
+                ram_bytes=claim.ram_bytes, vcpus=claim.vcpus)
+            if not boot.ok:
                 self.placer.release(new_claim)
                 self._tenant_pod[tenant_id] = claim.pod_id
                 self.stats.readmission_failures += 1
@@ -377,7 +523,7 @@ class FederationController:
             del self._moving[tenant_id]
             gate.succeed()
 
-    # -- tenant lifecycles --------------------------------------------------
+    # -- serving ------------------------------------------------------------
 
     def serve_trace(self, trace: TenantTrace,
                     home_of: Optional[Callable[[TenantSpec], str]] = None
@@ -411,64 +557,8 @@ class FederationController:
             self.stats.pod_stats[pod.pod_id] = pod.plane.stats
         return self.stats
 
-    def _tenant(self, spec: TenantSpec,
-                home_of: Optional[Callable[[TenantSpec], str]]
-                ) -> ProcessGenerator:
-        home = (home_of(spec) if home_of is not None
-                else self.placer.home_pod(spec.tenant_id))
-        pod_id = self.placer.place(spec.tenant_id, spec.ram_bytes,
-                                   spec.vcpus, home=home)
-        # Two-phase admission: the claim covers the decision-to-
-        # reservation window, then the pod's own allocators take over.
-        claim = self.placer.reserve(pod_id, spec.ram_bytes, spec.vcpus,
-                                    tenant_id=spec.tenant_id)
-        self._tenant_pod[spec.tenant_id] = pod_id
-        boot = self.pods[pod_id].plane.submit(
-            "boot", spec.tenant_id,
-            request=VmAllocationRequest(
-                vm_id=spec.tenant_id, vcpus=spec.vcpus,
-                ram_bytes=spec.ram_bytes))
-        yield boot.done
-        self.stats.admission_records.append(boot.record)
-        if not boot.record.ok:
-            self.placer.release(claim)
-            self.stats.boots_rejected += 1
-            del self._tenant_pod[spec.tenant_id]
-            return
-        self.placer.commit(claim)
-        self.stats.boots_admitted += 1
-        if pod_id != home:
-            self.stats.spills += 1
-        booted_at = self.sim.now
 
-        for event in spec.scale_events:
-            yield self.sim.timeout(max(
-                0.0, booted_at + event.at_s - self.sim.now))
-            if event.kind == "up":
-                request = yield from self.submit_process(
-                    "scale_up", spec.tenant_id,
-                    size_bytes=event.size_bytes)
-            else:
-                # Serve-time resolution: the segment to return is
-                # whatever is attached *now*, in whatever pod the
-                # tenant lives in by then.
-                request = yield from self.submit_process(
-                    "scale_down", spec.tenant_id, segment_id=None)
-            yield request.done
-        if spec.migrate_at_s is not None:
-            yield self.sim.timeout(max(
-                0.0, booted_at + spec.migrate_at_s - self.sim.now))
-            request = yield from self.submit_process(
-                "migrate", spec.tenant_id)
-            yield request.done  # a rejected intra-pod migration is fine
-        yield self.sim.timeout(max(
-            0.0, booted_at + spec.lifetime_s - self.sim.now))
-        request = yield from self.submit_process("depart", spec.tenant_id)
-        yield request.done
-        self._tenant_pod.pop(spec.tenant_id, None)
-
-
-def build_federation(pod_count: int, *,
+def build_pod_system(index: int, *,
                      racks_per_pod: int = 2,
                      uplinks_per_rack: Optional[int] = None,
                      compute_bricks: int = 2,
@@ -478,45 +568,58 @@ def build_federation(pod_count: int, *,
                      memory_modules: int = 2,
                      module_size: int = gib(4),
                      section_bytes: int = mib(256),
+                     placement: str = "pack") -> DisaggregatedSystem:
+    """Build pod ``pod<index>``: a :class:`~repro.core.builder.
+    PodBuilder` product with a per-rack :class:`~repro.orchestration.
+    sharding.ShardedSdmController` — the PR-4 configuration — so the
+    federation stacks on top of, not instead of, controller sharding.
+
+    Both backends build every pod here.  *placement* names the pod's
+    intra-pod brick-selection policy (see
+    :func:`~repro.orchestration.placement.make_placement_policy`); it
+    travels as a name so each pod, in whatever process, instantiates
+    its own policy object (policies carry per-pod hot-brick state).
+    """
+    builder = (PodBuilder(f"pod{index}")
+               .with_racks(racks_per_pod)
+               .with_compute_bricks(compute_bricks,
+                                    cores=compute_cores,
+                                    local_memory=local_memory)
+               .with_memory_bricks(memory_bricks,
+                                   modules=memory_modules,
+                                   module_size=module_size)
+               .with_section_size(section_bytes)
+               .with_policy(make_placement_policy(placement))
+               .with_controller_shards(None))
+    if uplinks_per_rack is not None:
+        builder.with_uplinks(uplinks_per_rack)
+    return builder.build()
+
+
+def build_federation(pod_count: int, *,
                      spill_policy: str = "least-loaded",
-                     placement: str = "pack",
                      scoring=None,
                      anti_affinity=None,
                      rebalancer: Optional[FederationRebalancer] = None,
-                     **federation_kwargs) -> FederationController:
-    """Assemble N identically-built pods under one federation.
+                     interpod_link_bps: float = DEFAULT_INTERPOD_LINK_BPS,
+                     max_batch: int = 4,
+                     batch_window_s: float = 0.001,
+                     workers: int = 8,
+                     offload: bool = True,
+                     **hardware) -> FederationController:
+    """Assemble N identically-built pods (:func:`build_pod_system`,
+    which takes the *hardware* keywords) under one serial federation.
 
-    Each pod is a :class:`~repro.core.builder.PodBuilder` product with
-    a per-rack :class:`~repro.orchestration.sharding.
-    ShardedSdmController` — the PR-4 configuration — so the federation
-    stacks on top of, not instead of, controller sharding.
-    *placement* names each pod's intra-pod brick-selection policy
-    (see :func:`~repro.orchestration.placement.make_placement_policy`);
-    the default keeps the paper's power-aware packing.
+    The default placement keeps the paper's power-aware packing.
     """
     if pod_count < 1:
         raise FederationError("a federation needs at least one pod")
-    systems = []
-    for index in range(pod_count):
-        builder = (PodBuilder(f"pod{index}")
-                   .with_racks(racks_per_pod)
-                   .with_compute_bricks(compute_bricks,
-                                        cores=compute_cores,
-                                        local_memory=local_memory)
-                   .with_memory_bricks(memory_bricks,
-                                       modules=memory_modules,
-                                       module_size=module_size)
-                   .with_section_size(section_bytes)
-                   .with_policy(make_placement_policy(placement))
-                   .with_controller_shards(None))
-        if uplinks_per_rack is not None:
-            builder.with_uplinks(uplinks_per_rack)
-        systems.append(builder.build())
-    placer_kwargs = {"spill_policy": spill_policy}
-    if scoring is not None:
-        placer_kwargs["scoring"] = scoring
-    if anti_affinity is not None:
-        placer_kwargs["anti_affinity"] = anti_affinity
+    systems = [build_pod_system(index, **hardware)
+               for index in range(pod_count)]
     return FederationController(
-        systems, placer=GlobalPlacer(**placer_kwargs),
-        rebalancer=rebalancer, **federation_kwargs)
+        systems,
+        placer=GlobalPlacer(spill_policy, scoring=scoring,
+                            anti_affinity=anti_affinity),
+        interpod_link_bps=interpod_link_bps, rebalancer=rebalancer,
+        max_batch=max_batch, batch_window_s=batch_window_s,
+        workers=workers, offload=offload)

@@ -1,23 +1,23 @@
-"""The federation's cross-pod wire protocol: plain, picklable messages.
+"""The federation's pod port on the wire: plain, picklable messages.
 
-The serial :class:`~repro.federation.controller.FederationController`
-reaches into its pods with direct object calls — ``pod.plane.submit``,
-``pod.system.hosting``, registry walks.  The parallel federation
-(:mod:`repro.federation.parallel`) cannot: each pod lives in its own OS
-process, so **every** cross-pod interaction must be a message that
-pickles cleanly and says everything the other side needs.  This module
-is that protocol — the complete vocabulary the coordinator and the pod
-logical processes exchange:
+The coordinator (:class:`~repro.federation.controller.Federation`)
+reaches a pod through four port methods.  The direct port of
+:class:`~repro.federation.controller.FederationController` implements
+them as object calls — ``plane.submit``, ``plane.tenant_tail``,
+``system.hosting``.  The wire port of the parallel federation
+(:mod:`repro.federation.parallel`) cannot: each pod lives in its own
+simulator, possibly in another OS process, so **every** cross-pod
+interaction must be a message that pickles cleanly and says
+everything the other side needs.  This module is that protocol — the
+complete vocabulary the coordinator and the pod logical processes
+exchange:
 
 ====================  =================================================
 coordinator → pod     :class:`SubmitCmd` (boot/scale/migrate/depart
                       through the pod's admission pipeline),
                       :class:`DrainCmd` (settle a tenant's in-flight
                       work and report its footprint — migration phase
-                      0), :class:`FenceCmd` (release a lost replica's
-                      bookkeeping before re-admission),
-                      :class:`FailPodCmd` / :class:`RestorePodCmd`
-                      (pod-class fault injection).
+                      0).
 pod → coordinator     :class:`CompletionReply` (one per SubmitCmd, the
                       request's full :class:`~repro.cluster.metrics.
                       RequestRecord` timing), :class:`DrainedReply`
@@ -33,12 +33,17 @@ Everything here is a frozen dataclass of numbers and strings.  Sim
 objects (:class:`~repro.sim.engine.Event`, simulators, control planes)
 refuse pickling by design, so a protocol regression — someone slipping
 a live object into a message — fails loudly at the pipe, not silently
-in a worker.
+in a worker.  The two functions both ports share — :func:`plane_payload`
+(a request's ``plane.submit`` keywords) and :func:`measure_pod` (the
+load measurement) — live here too, so either port sees the same
+requests and the same numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.orchestration.requests import VmAllocationRequest
 
 
 @dataclass(frozen=True)
@@ -46,10 +51,8 @@ class SubmitCmd:
     """Coordinator → pod: push one request through the pod's admission
     pipeline (``plane.submit``) at the message's arrival time.
 
-    ``ram_bytes``/``vcpus`` parameterize ``boot``; ``size_bytes``
-    parameterizes ``scale_up``; the other kinds need no payload
-    (``scale_down`` resolves its segment at serve time, exactly like
-    the serial federation's lifecycle).
+    The fields map onto ``plane.submit`` keywords through
+    :func:`plane_payload`.
     """
 
     request_id: int
@@ -60,6 +63,24 @@ class SubmitCmd:
     size_bytes: int = 0
 
 
+def plane_payload(kind: str, tenant_id: str, ram_bytes: int = 0,
+                  vcpus: int = 0, size_bytes: int = 0) -> dict:
+    """The ``ControlPlane.submit`` keywords of one request.
+
+    ``ram_bytes``/``vcpus`` parameterize ``boot``; ``size_bytes``
+    parameterizes ``scale_up``; the other kinds need no payload
+    (``scale_down`` resolves its segment at serve time).
+    """
+    if kind == "boot":
+        return {"request": VmAllocationRequest(
+            vm_id=tenant_id, vcpus=vcpus, ram_bytes=ram_bytes)}
+    if kind == "scale_up":
+        return {"size_bytes": size_bytes}
+    if kind == "scale_down":
+        return {"segment_id": None}
+    return {}
+
+
 @dataclass(frozen=True)
 class DrainCmd:
     """Coordinator → pod: wait out the tenant's in-flight requests
@@ -68,27 +89,6 @@ class DrainCmd:
 
     request_id: int
     tenant_id: str
-
-
-@dataclass(frozen=True)
-class FenceCmd:
-    """Coordinator → pod: release a lost replica's bookkeeping
-    (``system.terminate_vm``, errors ignored) so a later repair never
-    double-books capacity the tenant's re-admission moved elsewhere.
-    Fire-and-forget: no reply."""
-
-    tenant_id: str
-
-
-@dataclass(frozen=True)
-class FailPodCmd:
-    """Coordinator → pod: the whole pod goes down (fault injection) —
-    pause the admission pipeline until :class:`RestorePodCmd`."""
-
-
-@dataclass(frozen=True)
-class RestorePodCmd:
-    """Coordinator → pod: repair complete — resume serving."""
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,9 @@ class DrainedReply:
     """Pod → coordinator: the tenant's in-flight work has settled.
 
     ``hosted`` is False when the tenant departed before the drain
-    completed (the move is then abandoned, mirroring the serial
-    migrator); otherwise ``ram_bytes`` is the full current footprint —
-    boot RAM plus every runtime DIMM — the inter-pod link must carry.
+    completed (the move is then abandoned); otherwise ``ram_bytes`` is
+    the full current footprint — boot RAM plus every runtime DIMM — the
+    inter-pod link must carry.
     """
 
     request_id: int
@@ -152,9 +152,9 @@ class PodStatus:
 def measure_pod(system, plane, alive: bool = True) -> PodStatus:
     """Compute a :class:`PodStatus` from direct reads of one pod.
 
-    The one shared implementation of the load measurement: the serial
-    federation's :meth:`~repro.federation.controller.FederatedPod.
-    load_snapshot` and the parallel pod LP's barrier status both call
+    The one shared implementation of the load measurement: the direct
+    port's :meth:`~repro.federation.controller.FederatedPod.
+    load_snapshot` and the wire port's pod LP barrier status both call
     this, so placement decisions see identical numbers on either
     backend.
     """

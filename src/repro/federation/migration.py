@@ -8,9 +8,9 @@ pod tier already has, arranged as a two-phase protocol that mirrors the
 cross-shard reserve of PR 4:
 
 1. **drain** — wait for the tenant's in-flight requests on the source
-   pod (``plane.tenant_tail``), so the footprint being copied is
-   stable; a federation-level gate defers new same-tenant submissions
-   until the move resolves (per-tenant FIFO survives the re-homing);
+   pod, so the footprint being copied is stable; a federation-level
+   gate defers new same-tenant submissions until the move resolves
+   (per-tenant FIFO survives the re-homing);
 2. **reserve in the target pod** — a tentative
    :class:`~repro.federation.placer.PodClaim` on the federation ledger
    plus a full boot through the target pod's admission pipeline (its
@@ -26,6 +26,13 @@ cross-shard reserve of PR 4:
    re-homes the tenant; **rollback** at any earlier step releases the
    target-side claim and leaves the tenant untouched at home.
 
+The protocol reaches the pods only through the coordinator's port
+(:class:`~repro.federation.controller.Federation`): ``_drain`` for
+phase 0 and ``_submit_to`` for every boot and depart.  The one
+implementation therefore runs on the direct port, where each step is
+an object call on the shared clock, and on the wire port, where each
+is a message exchange one link latency each way.
+
 A failed target boot (capacity evaporated between decision and
 reservation) therefore never strands capacity on either pod — the
 conservation property the federation test suite checks with hypothesis,
@@ -37,13 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import FederationError, OrchestrationError
-from repro.orchestration.requests import VmAllocationRequest
+from repro.errors import FederationError
 from repro.sim.engine import ProcessGenerator
 from repro.units import transfer_time
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from repro.federation.controller import FederationController
+    from repro.federation.controller import Federation
 
 
 @dataclass
@@ -62,7 +68,7 @@ class MigrationOutcome:
 class InterPodMigrator:
     """Runs inter-pod migrations as DES processes on the federation."""
 
-    def __init__(self, federation: "FederationController") -> None:
+    def __init__(self, federation: "Federation") -> None:
         self.federation = federation
 
     def migrate_process(self, tenant_id: str,
@@ -81,8 +87,6 @@ class InterPodMigrator:
                 f"{tenant_id} already lives in {target_pod_id}")
         if tenant_id in fed._moving:
             raise FederationError(f"{tenant_id} is already migrating")
-        source = fed.pods[source_id]
-        target = fed.pods[target_pod_id]
         outcome = MigrationOutcome(tenant_id=tenant_id,
                                    source_pod=source_id,
                                    target_pod=target_pod_id)
@@ -90,42 +94,31 @@ class InterPodMigrator:
         gate = fed.sim.event()
         fed._moving[tenant_id] = gate
         try:
-            # Phase 0 — drain: let in-flight same-tenant work land.
-            tail = source.plane.tenant_tail(tenant_id)
-            if tail is not None and not tail.triggered:
-                yield tail
-            try:
-                hosted = source.system.hosting(tenant_id)
-            except OrchestrationError:
+            # Phase 0 — drain: let in-flight same-tenant work land and
+            # read the whole guest footprint — exactly what the target
+            # pod must re-provision and the inter-pod link must carry.
+            drained = yield from fed._drain(source_id, tenant_id)
+            if drained is None:
                 # The registration is stale (the tenant departed while
                 # the move waited); drop it so planners stop seeing it.
                 if fed._tenant_pod.get(tenant_id) == source_id:
                     del fed._tenant_pod[tenant_id]
                 outcome.note = "tenant departed before the move started"
                 return outcome
-            vm = hosted.vm
-            # The whole guest footprint: boot RAM plus every runtime
-            # DIMM (each backed by a remote segment on this side) —
-            # exactly what the target pod must re-provision and the
-            # inter-pod link must carry.
-            total_bytes = vm.configured_ram_bytes
+            total_bytes, vcpus = drained
 
             # Phase 1 — reserve in the target pod: ledger claim plus a
             # real boot of the whole footprint through its admission
             # pipeline.
             claim = fed.placer.reserve(target_pod_id, total_bytes,
-                                       vm.vcpus, tenant_id=tenant_id)
-            boot = target.plane.submit(
-                "boot", tenant_id,
-                request=VmAllocationRequest(
-                    vm_id=tenant_id, vcpus=vm.vcpus,
-                    ram_bytes=total_bytes))
-            yield boot.done
-            if not boot.record.ok:
+                                       vcpus, tenant_id=tenant_id)
+            boot = yield from fed._submit_to(
+                target_pod_id, "boot", tenant_id,
+                ram_bytes=total_bytes, vcpus=vcpus)
+            if not boot.ok:
                 fed.placer.release(claim)  # rollback: tenant stays home
                 fed.stats.migration_rollbacks += 1
-                outcome.note = (f"target reservation rejected: "
-                                f"{boot.record.note}")
+                outcome.note = f"target reservation rejected: {boot.note}"
                 return outcome
             # The target pod's registry now shows the footprint, so the
             # ledger claim is redundant — holding it through the copy
@@ -138,18 +131,17 @@ class InterPodMigrator:
                 transfer_time(total_bytes, fed.interpod_link_bps))
 
             # Phase 2 — commit: release the home-pod claim.
-            depart = source.plane.submit("depart", tenant_id)
-            yield depart.done
-            if not depart.record.ok:
+            depart = yield from fed._submit_to(source_id, "depart",
+                                               tenant_id)
+            if not depart.ok:
                 # The source would not let go (teardown failure): keep
                 # exactly one live copy by tearing the target side down
                 # (its registry allocation is freed by this depart; the
                 # ledger claim was already committed away above).
-                rollback = target.plane.submit("depart", tenant_id)
-                yield rollback.done
+                yield from fed._submit_to(target_pod_id, "depart",
+                                          tenant_id)
                 fed.stats.migration_rollbacks += 1
-                outcome.note = (f"source release failed: "
-                                f"{depart.record.note}")
+                outcome.note = f"source release failed: {depart.note}"
                 return outcome
             fed._tenant_pod[tenant_id] = target_pod_id
             fed.stats.migrations += 1

@@ -106,8 +106,8 @@ class GlobalPlacer:
     """Locality-first tenant-to-pod placement with capacity spill."""
 
     def __init__(self, spill_policy: str = "least-loaded",
-                 scoring: Callable[[PodSnapshot],
-                                   float] = free_capacity_score,
+                 scoring: Optional[Callable[[PodSnapshot],
+                                            float]] = None,
                  anti_affinity: Optional[Callable[[str], str]] = None
                  ) -> None:
         if spill_policy not in SPILL_POLICIES:
@@ -115,7 +115,9 @@ class GlobalPlacer:
                 f"unknown spill policy {spill_policy!r}; known: "
                 f"{', '.join(SPILL_POLICIES)}")
         self.spill_policy = spill_policy
-        self.scoring = scoring
+        #: Spill scoring; ``None`` means :func:`free_capacity_score`.
+        self.scoring = (scoring if scoring is not None
+                        else free_capacity_score)
         #: tenant id -> replica/tenant-group key ("" = ungrouped).
         #: When set, placement avoids pods already hosting another
         #: member of the tenant's group (soft constraint: a group fits
@@ -139,10 +141,11 @@ class GlobalPlacer:
         """Attach the placer to the federation's live pods.
 
         *pods* maps pod id to an object exposing ``load_snapshot()``
-        (a :class:`~repro.federation.messages.PodStatus`) and, optionally,
-        ``alive``/``draining`` flags — the federation's
+        (a :class:`~repro.federation.messages.PodStatus`) and the
+        ``alive``/``draining`` flags — the direct port's
         :class:`~repro.federation.controller.FederatedPod` records or
-        the parallel federation's coordinator-side handles.
+        the wire port's :class:`~repro.federation.parallel.PodHandle`
+        copies.
         """
         if not pods:
             raise FederationError("placer needs at least one pod")
@@ -177,7 +180,7 @@ class GlobalPlacer:
         pool."""
         pod = self._pods.get(pod_id)
         return (pod is not None and getattr(pod, "alive", True)
-                and not getattr(pod, "draining", False))
+                and not pod.draining)
 
     def home_pod(self, tenant_id: str) -> str:
         """The tenant's home pod: a stable hash over the pod set.
@@ -198,8 +201,8 @@ class GlobalPlacer:
 
         Measured through the pod's ``load_snapshot()``: a
         :class:`~repro.federation.controller.FederatedPod` measures
-        itself, the parallel federation's coordinator-side handles
-        serve their last barrier status.
+        itself, a :class:`~repro.federation.parallel.PodHandle` serves
+        its pod's last barrier status.
         """
         pod = self._pods.get(pod_id)
         if pod is None:

@@ -13,6 +13,13 @@ configured threshold, the smallest-footprint tenant of the hot pod is
 migrated (two-phase, via
 :class:`~repro.federation.migration.InterPodMigrator`) to the coldest
 pod that fits it.
+
+It is the only rebalancer of both backends.  It reads pods through
+the coordinator (:class:`~repro.federation.controller.Federation`):
+``is_idle()`` gates a pass, each pod's ``load_snapshot()`` names the
+hot and cold pods, and ``_footprint`` sizes the candidates — the live
+VM on the direct port, the committed claim on the wire port, whose
+drain phase then measures the exact footprint before any copy.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from repro.errors import FederationError, ReproError
 from repro.sim.engine import ProcessGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from repro.federation.controller import FederationController
+    from repro.federation.controller import Federation
 
 
 @dataclass
@@ -54,11 +61,11 @@ class FederationRebalancer:
         self.imbalance_threshold = imbalance_threshold
         self.max_migrations_per_pass = max_migrations_per_pass
         self.report = RebalanceReport()
-        self.federation: Optional["FederationController"] = None
+        self.federation: Optional["Federation"] = None
 
     # -- scheduling ---------------------------------------------------------
 
-    def install(self, federation: "FederationController") -> None:
+    def install(self, federation: "Federation") -> None:
         """Start the periodic background process on the federation."""
         self.federation = federation
         federation.sim.process(self._loop())
@@ -119,12 +126,9 @@ class FederationRebalancer:
         for tenant_id in fed.tenants_on(hot):
             if tenant_id in fed._moving:
                 continue
-            try:
-                vm = fed.pods[hot].system.hosting(tenant_id).vm
-            except ReproError:
-                continue  # registration went stale under our feet
-            candidates.append((vm.configured_ram_bytes, tenant_id,
-                               vm.vcpus))
+            footprint = fed._footprint(hot, tenant_id)
+            if footprint is not None:
+                candidates.append((footprint[0], tenant_id, footprint[1]))
         candidates.sort(key=lambda entry: (entry[0], entry[1]))
         for footprint, tenant_id, vcpus in candidates:
             if fed.placer.fits(cold_snapshot, footprint, vcpus):

@@ -40,7 +40,7 @@ from repro.faults.domains import (
     pod_network_domains,
     rack_power_domains,
 )
-from repro.federation.controller import build_federation
+from repro.federation.controller import Federation, build_federation
 from repro.federation.rebalancer import FederationRebalancer
 from repro.maintenance.supervisor import (
     DrainReport,
@@ -66,7 +66,7 @@ class CompiledTopology:
     """A built federation plus the operational surface its spec emits."""
 
     spec: TopologySpec
-    federation: object  # FederationController | ParallelFederationController
+    federation: Federation
     #: ``None`` = the direct-call serial backend; an int = the parallel
     #: backend's worker-process count (0 = its in-process fleet).
     workers: Optional[int] = None
@@ -224,7 +224,7 @@ def compile_spec(source: Union[str, Mapping, TopologySpec], *,
         batch_window_s=spec.control.batch_window_s,
     )
     if workers is None:
-        federation: object = build_federation(spec.pods, **pod_kwargs)
+        federation: Federation = build_federation(spec.pods, **pod_kwargs)
     else:
         from repro.federation.parallel import (
             DEFAULT_SYNC_WINDOW_S,

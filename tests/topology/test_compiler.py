@@ -120,7 +120,7 @@ class TestParallelBackend:
         compiled = compile_spec("S", workers=0)
         try:
             assert compiled.workers == 0
-            assert sorted(compiled.federation.handles)
+            assert sorted(compiled.federation.pods)
         finally:
             compiled.close()
 
