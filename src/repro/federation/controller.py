@@ -576,9 +576,10 @@ def build_pod_system(index: int, *,
 
     Both backends build every pod here.  *placement* names the pod's
     intra-pod brick-selection policy (see
-    :func:`~repro.orchestration.placement.make_placement_policy`); it
-    travels as a name so each pod, in whatever process, instantiates
-    its own policy object (policies carry per-pod hot-brick state).
+    :func:`~repro.orchestration.placement.make_placement_policy`; the
+    default keeps the paper's power-aware packing); it travels as a
+    name so each pod, in whatever process, instantiates its own policy
+    object (policies carry per-pod hot-brick state).
     """
     builder = (PodBuilder(f"pod{index}")
                .with_racks(racks_per_pod)
@@ -608,10 +609,7 @@ def build_federation(pod_count: int, *,
                      offload: bool = True,
                      **hardware) -> FederationController:
     """Assemble N identically-built pods (:func:`build_pod_system`,
-    which takes the *hardware* keywords) under one serial federation.
-
-    The default placement keeps the paper's power-aware packing.
-    """
+    which takes the *hardware* keywords) under one serial federation."""
     if pod_count < 1:
         raise FederationError("a federation needs at least one pod")
     systems = [build_pod_system(index, **hardware)

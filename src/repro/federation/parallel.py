@@ -279,14 +279,11 @@ class PodHandle:
     as a live :class:`~repro.federation.controller.FederatedPod`."""
 
     pod_id: str
+    status: PodStatus
     alive: bool = True
     draining: bool = False
-    status: Optional[PodStatus] = None
 
     def load_snapshot(self) -> PodStatus:
-        if self.status is None:
-            raise FederationError(
-                f"no status for pod {self.pod_id!r} yet")
         return self.status
 
 
@@ -325,8 +322,8 @@ class ParallelFederationController(Federation):
         #: reply can arrive.
         self._window_cap = _INF
         self.window_report: Optional[WindowRunReport] = None
-        pods = {pod_id: PodHandle(
-                    pod_id, status=fleet.call(pod_id, "current_status"))
+        pods = {pod_id: PodHandle(pod_id,
+                                  fleet.call(pod_id, "current_status"))
                 for pod_id in pod_ids}
         super().__init__(Simulator(), pods, placer=placer,
                          interpod_link_bps=interpod_link_bps,
@@ -461,7 +458,7 @@ class ParallelFederationController(Federation):
         """True when no move or reply is pending and every live pod was
         idle at its last barrier."""
         return (not self._moving and not self._pending
-                and all(pod.load_snapshot().idle
+                and all(pod.status.idle
                         for pod in self.pods.values() if pod.alive))
 
     # -- serving ------------------------------------------------------------
