@@ -63,8 +63,8 @@ class SubmitCmd:
     size_bytes: int = 0
 
 
-def plane_payload(kind: str, tenant_id: str, ram_bytes: int = 0,
-                  vcpus: int = 0, size_bytes: int = 0) -> dict:
+def plane_payload(kind: str, tenant_id: str, ram_bytes: int,
+                  vcpus: int, size_bytes: int) -> dict:
     """The ``ControlPlane.submit`` keywords of one request.
 
     ``ram_bytes``/``vcpus`` parameterize ``boot``; ``size_bytes``
