@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import AllOf, AnyOf, Interrupt, Simulator, Timeout
+from repro.sim.resources import Resource, Store
 
 
 class TestEvent:
@@ -507,3 +509,131 @@ class TestEventPooling:
         sim.run()
         assert log == [(0, 25.0), (1, 25.0), (2, 25.0), (3, 25.0)]
         assert len(sim._pools[Timeout]) <= 1024
+
+
+def _entry_point_program(sim, log, seed):
+    """A seeded random program of 29 processes; returns an ``all_of``.
+
+    Quarter-second delays make many events tie in time, and zero
+    delays fire at the current instant.  Every resume appends
+    ``(now, who, step)`` to *log*.
+    """
+    rng = random.Random(seed)
+    quarter = (0.0, 0.25, 0.5, 1.0)
+    lock = Resource(sim, capacity=1)
+    store = Store(sim)
+
+    def sleeper(name, delays):
+        for step, delay in enumerate(delays):
+            yield sim.timeout(delay)
+            log.append((sim.now, name, step))
+        return name
+
+    def alarm(name, times):
+        for step, when in enumerate(times):
+            yield sim.timeout_at(when)
+            log.append((sim.now, name, step))
+
+    def user(name, start, hold):
+        yield sim.timeout(start)
+        grant = yield from lock.acquire()
+        log.append((sim.now, name, "granted"))
+        yield sim.timeout(hold)
+        lock.release(grant)
+        log.append((sim.now, name, "released"))
+
+    def feeder(delays):
+        for step, delay in enumerate(delays):
+            yield sim.timeout(delay)
+            store.put(step)
+            log.append((sim.now, "feeder", step))
+
+    def consumer(name):
+        item = yield store.get()
+        log.append((sim.now, name, item))
+
+    def worker(name, delay):
+        yield sim.timeout(delay)
+        raise ValueError(name)
+
+    def waiter(name, target):
+        try:
+            yield target
+        except ValueError as exc:
+            log.append((sim.now, name, str(exc)))
+
+    def joiner(condition):
+        yield condition
+        log.append((sim.now, "joiner", 0))
+
+    sleepers = []
+    for i in range(8):
+        delays = [rng.choice(quarter) if rng.random() < 0.7
+                  else rng.uniform(0.0, 2.0)
+                  for _ in range(rng.randrange(2, 5))]
+        sleepers.append(sim.process(sleeper(f"sleeper{i}", delays)))
+    for i in range(4):
+        times = sorted(rng.choice(quarter) + rng.choice((0.0, 1.0, 2.0, 3.0))
+                       for _ in range(3))
+        sim.process(alarm(f"alarm{i}", times))
+    for i in range(6):
+        sim.process(user(f"user{i}", rng.choice(quarter),
+                         rng.choice(quarter)))
+    sim.process(feeder([rng.choice(quarter) for _ in range(5)]))
+    for i in range(5):
+        sim.process(consumer(f"consumer{i}"))
+    for i in range(2):
+        failing = sim.process(worker(f"worker{i}", rng.choice(quarter)))
+        sim.process(waiter(f"waiter{i}", failing))
+    joined = sim.all_of(sleepers)
+    sim.process(joiner(joined))
+    return joined
+
+
+class TestEntryPoints:
+    """``run()``, ``run(until=t)``, ``run(until=event)``,
+    ``run_window`` and ``step`` serve one event order."""
+
+    CUTS = (0.0, 0.25, 1.0, 1.6, 2.5)
+
+    def test_every_entry_point_serves_the_reference_order(self):
+        def build():
+            sim, log = Simulator(), []
+            return sim, log, _entry_point_program(sim, log, seed=7)
+
+        sim, reference, _ = build()
+        sim.run()
+        final = (sim.events_processed, sim.now)
+        assert sim.now > max(self.CUTS) and len(reference) > 50
+
+        def check(sim, log):
+            assert log == reference
+            assert (sim.events_processed, sim.now) == final
+
+        sim, log, _ = build()
+        for cut in self.CUTS:
+            sim.run(until=cut)
+            assert sim.now == cut
+            assert log == [e for e in reference if e[0] <= cut]
+        sim.run()
+        check(sim, log)
+
+        sim, log, joined = build()
+        sim.run(until=joined)
+        assert joined.processed and 0 < len(log) < len(reference)
+        assert log == reference[:len(log)]
+        sim.run()
+        check(sim, log)
+
+        sim, log, _ = build()
+        for cut in self.CUTS:
+            sim.run_window(cut)
+            assert sim.now == cut
+            assert log == [e for e in reference if e[0] < cut]
+        sim.run()
+        check(sim, log)
+
+        sim, log, _ = build()
+        while sim.queue_size:
+            sim.step()
+        check(sim, log)
