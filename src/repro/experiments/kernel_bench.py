@@ -12,7 +12,7 @@ Shapes
 ``engine_swarm``
     A large population of coroutines, each waiting out a few short
     timeouts drawn from the datamover's grant-serialization band — the
-    kernel alone: coroutine resume, timeout pooling, the pending-event
+    kernel alone: coroutine resume, timeout creation, the pending-event
     heap and the run loop.
 
 ``admission_70rps``

@@ -5,14 +5,14 @@ instrumentation.  This package is the substitute substrate: a small,
 deterministic discrete-event simulation (DES) kernel in the style of SimPy.
 
 * :mod:`repro.sim.engine` — the event loop: :class:`Simulator`,
-  generator-based :class:`Process` coroutines, timeouts, condition
-  events, cancellation and event-object recycling.
+  generator-based :class:`Process` coroutines, timeouts and
+  :class:`AllOf` condition events.
 * :mod:`repro.sim.queues` — the pending-event queue: a binary heap
-  served in ``(time, sequence)`` order, with lazy cancellation.
+  served in ``(time, sequence)`` order.
 * :mod:`repro.sim.resources` — contention primitives (:class:`Resource`,
   :class:`Store`) used to model serialized controllers and queues.
 * :mod:`repro.sim.rng` — named, reproducible random-number streams.
-* :mod:`repro.sim.trace` — structured event tracing and counters.
+* :mod:`repro.sim.trace` — timestamped trace records.
 * :mod:`repro.sim.control` — control-plane execution contexts: the
   shared reservation critical section and the synchronous-wrapper
   convention (``run_sync``).
@@ -21,9 +21,7 @@ deterministic discrete-event simulation (DES) kernel in the style of SimPy.
 from repro.sim.control import ControlContext, run_sync
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     Process,
     Simulator,
     Timeout,
@@ -35,12 +33,10 @@ from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "ControlContext",
     "Event",
     "EventQueue",
     "HeapEventQueue",
-    "Interrupt",
     "Process",
     "Resource",
     "RngRegistry",

@@ -7,7 +7,7 @@ Every orchestration operation in the library exists in two forms:
   critical section as a real :class:`~repro.sim.resources.Resource`, and
   charges its latency on the simulated clock — so concurrent requests
   queue and serialize, and queueing delay is observable;
-* a **synchronous wrapper** (the historical API) that spins up a private
+* a **synchronous wrapper** (the historical API) that builds a private
   one-shot context, runs the process to completion, and returns its
   result.  By construction the private context has no other traffic, so
   the synchronous path is *zero-contention*: the latencies it reports
@@ -22,8 +22,7 @@ lazily created capacity-1 resources keyed by name.  A sharded SDM
 controller (:class:`~repro.orchestration.sharding.ShardedSdmController`)
 uses one domain per shard, so reservations in different shards proceed
 in parallel while reservations inside one shard still serialize FIFO.
-The legacy ``ctx.reservation`` attribute remains the default
-(un-sharded) domain.
+``ctx.reservation`` is the default (un-sharded) domain.
 """
 
 from __future__ import annotations
@@ -44,25 +43,16 @@ class ControlContext:
     Attributes:
         sim: The discrete-event simulator the processes run on.
         reservation: The SDM-C critical section (§IV.C roles b, c):
-            capacity-1 by default, so concurrent reserve operations
-            serialize in FIFO order with measurable queueing delay.
+            capacity 1, so concurrent reserve operations serialize in
+            FIFO order with measurable queueing delay.
         tracer: Records timestamped control-plane events.
     """
 
-    def __init__(self, sim: Optional[Simulator] = None,
-                 reservation_capacity: int = 1,
-                 tracer: Optional[Tracer] = None) -> None:
+    def __init__(self, sim: Optional[Simulator] = None) -> None:
         self.sim = sim if sim is not None else Simulator()
-        self.reservation = Resource(self.sim,
-                                    capacity=reservation_capacity)
+        self.reservation = Resource(self.sim)
         self._domains: dict[str, Resource] = {}
-        self.tracer = tracer if tracer is not None else Tracer(
-            lambda: self.sim.now)
-
-    @property
-    def reservation_queue_depth(self) -> int:
-        """Requests currently waiting for the default critical section."""
-        return self.reservation.queue_length
+        self.tracer = Tracer(lambda: self.sim.now)
 
     @property
     def total_reservation_queue_depth(self) -> int:
@@ -70,23 +60,17 @@ class ControlContext:
         return (self.reservation.queue_length
                 + sum(r.queue_length for r in self._domains.values()))
 
-    def domain(self, name: str, capacity: int = 1) -> Resource:
+    def domain(self, name: str) -> Resource:
         """The named reservation domain, lazily created on first use.
 
         Domains model independently serialized controller shards: each
-        is its own capacity-1 (by default) FIFO resource on this
-        context's simulator.  The *capacity* argument only applies on
-        creation; later calls return the existing resource.
+        is its own capacity-1 FIFO resource on this context's simulator.
         """
         resource = self._domains.get(name)
         if resource is None:
-            resource = Resource(self.sim, capacity=capacity)
+            resource = Resource(self.sim)
             self._domains[name] = resource
         return resource
-
-    def domain_names(self) -> list[str]:
-        """Names of every domain created on this context, sorted."""
-        return sorted(self._domains)
 
     def enter_reservation(self, label: str) -> ProcessGenerator:
         """Acquire the critical section, tracing the queueing delay.
@@ -111,11 +95,6 @@ class ControlContext:
                            self.sim.now - enqueued)
         return grant
 
-    @classmethod
-    def ephemeral(cls) -> "ControlContext":
-        """A private context for one synchronous (zero-contention) call."""
-        return cls()
-
 
 def run_sync(process_factory: Callable[[ControlContext],
                                        ProcessGenerator]) -> Any:
@@ -129,6 +108,6 @@ def run_sync(process_factory: Callable[[ControlContext],
     always free, so no queueing delay accrues — the wrapper preserves
     the exact latency accounting of the pre-DES synchronous code.
     """
-    ctx = ControlContext.ephemeral()
+    ctx = ControlContext()
     completion = ctx.sim.process(process_factory(ctx))
     return ctx.sim.run(until=completion)

@@ -8,11 +8,6 @@ never leak into a run: only the order it serves is observable.
 :class:`HeapEventQueue` keeps the entries in a binary heap of tuples
 (``heapq``): O(log n) per operation, insensitive to the event-time
 distribution.
-
-Cancellation (:meth:`~repro.sim.engine.Event.cancel`) is lazy: the
-queue decrements its live count immediately and drops the entry when it
-surfaces, so cancelled events are never processed and never hold up
-``run()`` — but no O(n) structure surgery happens on the hot path.
 """
 
 from __future__ import annotations
@@ -35,14 +30,12 @@ class EventQueue:
     """Contract of the kernel's pending-event structure.
 
     Entries are pushed with a monotonically increasing *sequence*;
-    ``pop()`` removes and returns the next live entry in
+    ``pop()`` removes and returns the next entry in
     ``(time, sequence)`` order (``None`` when empty), and
     ``pop_until(horizon)`` does the same only if that entry's time is
-    ``<= horizon``.  Entries whose event has been cancelled are
-    discarded silently.  ``peek()`` is the time of the next live entry
-    (``inf`` when empty), ``note_cancel(event)`` accounts for a
-    cancellation, ``__len__`` counts live entries and ``peak_size`` is
-    their high-water mark.  The engine guarantees pushed times never
+    ``<= horizon``.  ``peek()`` is the time of the next entry (``inf``
+    when empty), ``__len__`` counts pending entries and ``peak_size``
+    is their high-water mark.  The engine guarantees pushed times never
     precede the time of the last popped entry (no scheduling into the
     past).
     """
@@ -53,55 +46,32 @@ class EventQueue:
 class HeapEventQueue(EventQueue):
     """Binary heap of ``(time, sequence, event)`` tuples."""
 
-    __slots__ = ("_heap", "_live", "peak_size")
+    __slots__ = ("_heap", "peak_size")
 
     def __init__(self) -> None:
         self._heap: list = []
-        self._live = 0
-        #: High-water mark of live entries (the bench's "peak heap").
+        #: High-water mark of pending entries (the bench's "peak heap").
         self.peak_size = 0
 
     def push(self, time: float, sequence: int, event: "Event") -> None:
-        heappush(self._heap, (time, sequence, event))
-        live = self._live = self._live + 1
-        if live > self.peak_size:
-            self.peak_size = live
+        heap = self._heap
+        heappush(heap, (time, sequence, event))
+        if len(heap) > self.peak_size:
+            self.peak_size = len(heap)
 
     def pop(self) -> "Optional[Entry]":
         heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            if entry[2]._cancelled:
-                continue
-            self._live -= 1
-            return entry
-        return None
+        return heappop(heap) if heap else None
 
     def pop_until(self, horizon: float) -> "Optional[Entry]":
         heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[2]._cancelled:
-                heappop(heap)
-                continue
-            if head[0] > horizon:
-                return None
-            self._live -= 1
+        if heap and heap[0][0] <= horizon:
             return heappop(heap)
         return None
 
     def peek(self) -> float:
         heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[2]._cancelled:
-                heappop(heap)
-                continue
-            return head[0]
-        return _INF
-
-    def note_cancel(self, event: "Event") -> None:
-        self._live -= 1
+        return heap[0][0] if heap else _INF
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap)

@@ -74,13 +74,6 @@ class Resource:
             self._users.add(nxt)
             nxt.succeed()
 
-    def cancel(self, request: Request) -> None:
-        """Withdraw a queued request that has not been granted yet."""
-        try:
-            self._queue.remove(request)
-        except ValueError:
-            raise SimulationError("cannot cancel: request is not queued") from None
-
     def acquire(self) -> Generator[Event, Any, Request]:
         """Process-style helper: ``req = yield from resource.acquire()``."""
         req = self.request()
@@ -120,9 +113,7 @@ class Store:
 
     def get(self) -> Event:
         """Event that fires with the next available item (FIFO order)."""
-        # Drawn via the simulator so processed get-events recycle
-        # through its free-list pool (admission queues churn these).
-        event = self.sim.event()
+        event = Event(self.sim)
         if self._items:
             event.succeed(self._items.popleft())
         else:

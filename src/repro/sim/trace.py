@@ -2,13 +2,15 @@
 
 The hardware prototype was instrumented with logic analyzers and wall
 clocks; the simulation equivalent is a :class:`Tracer` that components call
-to record timestamped, categorized events.  Experiment drivers query the
-trace to compute the statistics the paper's figures report.
+to record timestamped, categorized events.  The control plane's
+reservation critical sections record their queueing delays here
+(``sdm.reserve.wait``), and readers pick them out with
+:meth:`Tracer.select`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
 
@@ -29,40 +31,12 @@ class TraceRecord:
     data: Any = None
 
 
-@dataclass
-class IntervalStats:
-    """Aggregate statistics over a set of measured durations."""
-
-    count: int = 0
-    total: float = 0.0
-    minimum: float = float("inf")
-    maximum: float = float("-inf")
-    samples: list[float] = field(default_factory=list)
-
-    def add(self, duration: float) -> None:
-        self.count += 1
-        self.total += duration
-        self.minimum = min(self.minimum, duration)
-        self.maximum = max(self.maximum, duration)
-        self.samples.append(duration)
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of recorded durations (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-
 class Tracer:
-    """Collects :class:`TraceRecord` entries and interval measurements."""
+    """Collects timestamped :class:`TraceRecord` entries."""
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
         self._records: list[TraceRecord] = []
-        self._counters: dict[str, int] = {}
-        self._open_intervals: dict[tuple[str, str], float] = {}
-        self._intervals: dict[str, IntervalStats] = {}
-
-    # -- point events ---------------------------------------------------------
 
     def record(self, category: str, label: str, data: Any = None) -> TraceRecord:
         """Append a timestamped record and return it."""
@@ -70,41 +44,10 @@ class Tracer:
         self._records.append(rec)
         return rec
 
-    def count(self, counter: str, amount: int = 1) -> int:
-        """Increment a named counter; returns the new value."""
-        self._counters[counter] = self._counters.get(counter, 0) + amount
-        return self._counters[counter]
-
-    # -- intervals --------------------------------------------------------------
-
-    def begin(self, category: str, label: str) -> None:
-        """Open an interval keyed by ``(category, label)``."""
-        self._open_intervals[(category, label)] = self._clock()
-
-    def end(self, category: str, label: str) -> float:
-        """Close a previously opened interval; returns its duration."""
-        key = (category, label)
-        if key not in self._open_intervals:
-            raise KeyError(f"no open interval for {key}")
-        start = self._open_intervals.pop(key)
-        duration = self._clock() - start
-        self._intervals.setdefault(category, IntervalStats()).add(duration)
-        return duration
-
-    # -- queries ------------------------------------------------------------------
-
     @property
     def records(self) -> list[TraceRecord]:
         """All records, in emission order."""
         return list(self._records)
-
-    def counter(self, counter: str) -> int:
-        """Current value of a counter (0 if never incremented)."""
-        return self._counters.get(counter, 0)
-
-    def intervals(self, category: str) -> IntervalStats:
-        """Interval statistics for *category* (empty stats if none)."""
-        return self._intervals.get(category, IntervalStats())
 
     def select(self, category: Optional[str] = None,
                label: Optional[str] = None) -> Iterator[TraceRecord]:
@@ -115,10 +58,3 @@ class Tracer:
             if label is not None and rec.label != label:
                 continue
             yield rec
-
-    def clear(self) -> None:
-        """Drop all collected data (counters, records, intervals)."""
-        self._records.clear()
-        self._counters.clear()
-        self._open_intervals.clear()
-        self._intervals.clear()

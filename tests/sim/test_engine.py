@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import AllOf, AnyOf, Interrupt, Simulator, Timeout
+from repro.sim.engine import AllOf, Simulator
 from repro.sim.resources import Resource, Store
 
 
@@ -225,68 +225,6 @@ class TestProcess:
         assert not process.is_alive
 
 
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self, sim):
-        causes = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100)
-            except Interrupt as interrupt:
-                causes.append((sim.now, interrupt.cause))
-
-        def killer(target):
-            yield sim.timeout(2)
-            target.interrupt("preempted")
-
-        target = sim.process(sleeper())
-        sim.process(killer(target))
-        sim.run()
-        assert causes == [(2.0, "preempted")]
-
-    def test_unhandled_interrupt_fails_process(self, sim):
-        def sleeper():
-            yield sim.timeout(100)
-
-        def killer(target):
-            yield sim.timeout(1)
-            target.interrupt()
-
-        target = sim.process(sleeper())
-        sim.process(killer(target))
-        with pytest.raises(Interrupt):
-            sim.run(until=target)
-
-    def test_interrupting_finished_process_rejected(self, sim):
-        def quick():
-            yield sim.timeout(1)
-
-        process = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-    def test_interrupted_process_can_continue(self, sim):
-        trace = []
-
-        def resilient():
-            try:
-                yield sim.timeout(100)
-            except Interrupt:
-                trace.append("interrupted")
-            yield sim.timeout(5)
-            trace.append(sim.now)
-
-        def killer(target):
-            yield sim.timeout(10)
-            target.interrupt()
-
-        target = sim.process(resilient())
-        sim.process(killer(target))
-        sim.run()
-        assert trace == ["interrupted", 15.0]
-
-
 class TestConditions:
     def test_all_of_waits_for_all(self, sim):
         def worker(delay):
@@ -322,21 +260,10 @@ class TestConditions:
         with pytest.raises(RuntimeError, match="dead"):
             sim.run(until=condition)
 
-    def test_any_of_fires_on_first(self, sim):
-        slow = sim.timeout(10, value="slow")
-        fast = sim.timeout(1, value="fast")
-        condition = sim.any_of([slow, fast])
-        result = sim.run(until=condition)
-        assert sim.now == 1.0
-        assert list(result.values()) == ["fast"]
-
     def test_condition_rejects_foreign_events(self, sim):
         other = Simulator()
         with pytest.raises(SimulationError):
             AllOf(sim, [other.event()])
-
-    def test_any_of_type(self, sim):
-        assert isinstance(sim.any_of([sim.timeout(1)]), AnyOf)
 
 
 class TestSimulatorRun:
@@ -350,6 +277,17 @@ class TestSimulatorRun:
         sim.run(until=5.0)
         with pytest.raises(SimulationError):
             sim.run(until=2.0)
+
+    def test_run_until_infinity_leaves_clock_at_last_event(self, sim):
+        sim.timeout(2.0)
+        sim.run(until=float("inf"))
+        assert sim.now == 2.0
+        # The clock is still finite, so absolute and relative
+        # timeouts keep working.
+        later = sim.timeout_at(3.0)
+        sim.timeout(1.5)
+        sim.run()
+        assert later.processed and sim.now == 3.5
 
     def test_run_until_event_without_sources_raises(self, sim):
         pending = sim.event()
@@ -413,58 +351,7 @@ class TestDelayValidation:
             sim.schedule(event, delay=float("inf"))
 
 
-class TestCancel:
-    def test_cancelled_timeout_never_runs(self, sim):
-        fired = []
-        keep = sim.timeout(2)
-        keep.callbacks.append(lambda e: fired.append("keep"))
-        doomed = sim.timeout(1)
-        doomed.callbacks.append(lambda e: fired.append("doomed"))
-        doomed.cancel()
-        sim.run()
-        assert fired == ["keep"]
-        assert sim.now == 2.0
-        assert doomed.cancelled
-
-    def test_cancel_updates_queue_accounting(self, sim):
-        doomed = sim.timeout(1)
-        sim.timeout(2)
-        assert sim.queue_size == 2
-        doomed.cancel()
-        assert sim.queue_size == 1
-        assert sim.peek() == 2.0
-
-    def test_cancel_pending_event_blocks_trigger(self, sim):
-        event = sim.event()
-        event.cancel()
-        with pytest.raises(SimulationError):
-            event.succeed()
-
-    def test_cancel_twice_rejected(self, sim):
-        doomed = sim.timeout(1)
-        doomed.cancel()
-        with pytest.raises(SimulationError, match="already cancelled"):
-            doomed.cancel()
-
-    def test_cancel_processed_rejected(self, sim):
-        done = sim.timeout(1)
-        sim.run()
-        with pytest.raises(SimulationError, match="already processed"):
-            done.cancel()
-
-
 class TestConditionDetach:
-    def test_any_of_detaches_losers(self, sim):
-        slow = sim.timeout(10, value="slow")
-        fast = sim.timeout(1, value="fast")
-        condition = sim.any_of([slow, fast])
-        sim.run(until=condition)
-        # The race is decided: the loser no longer carries a callback
-        # back into the condition, so its later firing adds nothing.
-        assert not slow.callbacks
-        sim.run()
-        assert list(condition.value.values()) == ["fast"]
-
     def test_all_of_failure_detaches_survivors(self, sim):
         good = sim.timeout(5)
         bad = sim.event()
@@ -473,42 +360,6 @@ class TestConditionDetach:
         with pytest.raises(RuntimeError, match="dead"):
             sim.run(until=condition)
         assert not good.callbacks
-
-
-class TestEventPooling:
-    def test_processed_timeout_is_recycled(self, sim):
-        sim.timeout(1)  # no reference retained -> poolable
-        sim.run()
-        pool = sim._pools[Timeout]
-        assert pool
-        recycled = pool[-1]
-        fresh = sim.timeout(3, value="again")
-        assert fresh is recycled
-        assert fresh.delay == 3
-        assert not fresh.processed
-        sim.run()
-        assert fresh.value == "again"
-        assert sim.now == 4.0
-
-    def test_referenced_timeout_is_not_recycled(self, sim):
-        held = sim.timeout(1)
-        sim.run()
-        assert held not in sim._pools[Timeout]
-        assert held.processed
-
-    def test_recycled_timeouts_stay_deterministic(self, sim):
-        log = []
-
-        def worker(name):
-            for _ in range(50):
-                yield sim.timeout(0.5)
-            log.append((name, sim.now))
-
-        for name in range(4):
-            sim.process(worker(name))
-        sim.run()
-        assert log == [(0, 25.0), (1, 25.0), (2, 25.0), (3, 25.0)]
-        assert len(sim._pools[Timeout]) <= 1024
 
 
 def _entry_point_program(sim, log, seed):

@@ -1,9 +1,8 @@
 """Unit and property tests for the kernel's pending-event queue.
 
 The determinism contract: the queue serves the total order
-``(time, sequence)``, never surfaces a cancelled entry and
-counts only live entries.  The property tests replay randomized op
-tapes (pushes, pops, horizon pops, cancellations) against
+``(time, sequence)`` and counts its pending entries.  The property
+tests replay randomized op tapes (pushes, pops, horizon pops) against
 :class:`HeapEventQueue` and against a sorted-list reference that
 states the contract directly, and require identical histories.
 """
@@ -20,12 +19,9 @@ from repro.sim.queues import HeapEventQueue
 
 
 class _Token:
-    """Stand-in event: just the cancellation flag the queues inspect."""
+    """Stand-in event: the queue stores it and never looks inside."""
 
-    __slots__ = ("_cancelled",)
-
-    def __init__(self) -> None:
-        self._cancelled = False
+    __slots__ = ()
 
 
 def _drain(queue):
@@ -72,25 +68,6 @@ class TestBackendContract:
         queue.push(3.0, 0, _Token())
         assert queue.pop_until(3.0) is not None
 
-    def test_peek_skips_cancelled_head(self, queue):
-        doomed, kept = _Token(), _Token()
-        queue.push(1.0, 0, doomed)
-        queue.push(2.0, 1, kept)
-        doomed._cancelled = True
-        queue.note_cancel(doomed)
-        assert queue.peek() == 2.0
-        assert len(queue) == 1
-
-    def test_cancelled_entries_never_surface(self, queue):
-        tokens = [_Token() for _ in range(10)]
-        for index, token in enumerate(tokens):
-            queue.push(float(index), index, token)
-        for token in tokens[::2]:
-            token._cancelled = True
-            queue.note_cancel(token)
-        assert [entry[0] for entry in _drain(queue)] == [
-            1.0, 3.0, 5.0, 7.0, 9.0]
-
     def test_len_and_peak_track_live_entries(self, queue):
         token = _Token()
         for index in range(5):
@@ -107,25 +84,19 @@ class _SortedReference:
     """The queue contract stated directly, with no structure to get wrong.
 
     Every operation scans all entries: pop the minimum
-    ``(time, sequence)`` among the live ones; ``len`` counts
-    the live ones.  Cancellation needs no bookkeeping at all.
+    ``(time, sequence)``; ``len`` counts them.
     """
 
     def __init__(self) -> None:
         self._entries: dict[int, tuple] = {}
 
-    def _live(self) -> list:
-        return [entry for entry in self._entries.values()
-                if not entry[2]._cancelled]
-
     def push(self, time, sequence, event) -> None:
         self._entries[sequence] = (time, sequence, event)
 
     def pop_until(self, horizon):
-        live = self._live()
-        if not live:
+        if not self._entries:
             return None
-        head = min(live, key=lambda entry: entry[:2])
+        head = min(self._entries.values(), key=lambda entry: entry[:2])
         if head[0] > horizon:
             return None
         del self._entries[head[1]]
@@ -134,11 +105,8 @@ class _SortedReference:
     def pop(self):
         return self.pop_until(math.inf)
 
-    def note_cancel(self, event) -> None:
-        pass
-
     def __len__(self) -> int:
-        return len(self._live())
+        return len(self._entries)
 
 
 def _random_workload(rng, operations):
@@ -157,14 +125,12 @@ def _random_workload(rng, operations):
             tape.append(("push", delay))
         elif roll < 0.8:
             tape.append(("pop",))
-        elif roll < 0.85:
-            tape.append(("pop_until", rng.uniform(0.0, 50.0)))
         elif roll < 0.9:
-            # Horizon exactly at the next live entry's time: the
-            # inclusive edge that a continuous draw never hits.
-            tape.append(("pop_until_next",))
+            tape.append(("pop_until", rng.uniform(0.0, 50.0)))
         else:
-            tape.append(("cancel", rng.randrange(1, 8)))
+            # Horizon exactly at the next entry's time: the inclusive
+            # edge that a continuous draw never hits.
+            tape.append(("pop_until_next",))
     return tape
 
 
@@ -180,23 +146,15 @@ def _replay(queue, tape):
             _, delay = op
             token = _Token()
             queue.push(now + delay, sequence, token)
-            pending[sequence] = (now + delay, token)
+            pending[sequence] = now + delay
             sequence += 1
-        elif kind == "cancel":  # the n-th oldest pending entry, if any
-            live = sorted(pending)
-            if live:
-                victim = live[min(op[1], len(live)) - 1]
-                _, token = pending.pop(victim)
-                token._cancelled = True
-                queue.note_cancel(token)
         else:
             if kind == "pop":
                 entry = queue.pop()
             elif kind == "pop_until":
                 entry = queue.pop_until(now + op[1])
             else:  # pop_until_next
-                entry = queue.pop_until(min(
-                    (time for time, _ in pending.values()), default=now))
+                entry = queue.pop_until(min(pending.values(), default=now))
             if entry is not None:
                 now = entry[0]
                 pending.pop(entry[1], None)

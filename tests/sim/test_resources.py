@@ -62,19 +62,6 @@ class TestResource:
         with pytest.raises(SimulationError):
             resource.release(waiting)
 
-    def test_cancel_queued_request(self, sim):
-        resource = Resource(sim, capacity=1)
-        resource.request()
-        queued = resource.request()
-        resource.cancel(queued)
-        assert resource.queue_length == 0
-
-    def test_cancel_granted_request_rejected(self, sim):
-        resource = Resource(sim, capacity=1)
-        granted = resource.request()
-        with pytest.raises(SimulationError):
-            resource.cancel(granted)
-
     def test_multi_slot_concurrency(self, sim):
         resource = Resource(sim, capacity=3)
         active_log = []

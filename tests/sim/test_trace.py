@@ -44,70 +44,3 @@ class TestRecords:
         tracer.records.clear()
         assert len(tracer.records) == 1
 
-
-class TestCounters:
-    def test_count_increments(self, traced_sim):
-        _sim, tracer = traced_sim
-        assert tracer.count("requests") == 1
-        assert tracer.count("requests", 4) == 5
-        assert tracer.counter("requests") == 5
-
-    def test_unknown_counter_is_zero(self, traced_sim):
-        _sim, tracer = traced_sim
-        assert tracer.counter("never") == 0
-
-
-class TestIntervals:
-    def test_begin_end_measures_duration(self, traced_sim):
-        sim, tracer = traced_sim
-
-        def proc():
-            tracer.begin("scaleup", "vm-1")
-            yield sim.timeout(3.0)
-            duration = tracer.end("scaleup", "vm-1")
-            assert duration == 3.0
-
-        sim.process(proc())
-        sim.run()
-        stats = tracer.intervals("scaleup")
-        assert stats.count == 1
-        assert stats.mean == 3.0
-
-    def test_end_without_begin_raises(self, traced_sim):
-        _sim, tracer = traced_sim
-        with pytest.raises(KeyError):
-            tracer.end("nope", "x")
-
-    def test_interval_stats_aggregate(self, traced_sim):
-        sim, tracer = traced_sim
-
-        def proc(delay, label):
-            tracer.begin("op", label)
-            yield sim.timeout(delay)
-            tracer.end("op", label)
-
-        sim.process(proc(1.0, "a"))
-        sim.process(proc(3.0, "b"))
-        sim.run()
-        stats = tracer.intervals("op")
-        assert stats.count == 2
-        assert stats.minimum == 1.0
-        assert stats.maximum == 3.0
-        assert stats.mean == 2.0
-
-    def test_empty_interval_stats(self, traced_sim):
-        _sim, tracer = traced_sim
-        stats = tracer.intervals("missing")
-        assert stats.count == 0
-        assert stats.mean == 0.0
-
-    def test_clear_drops_everything(self, traced_sim):
-        _sim, tracer = traced_sim
-        tracer.record("a", "x")
-        tracer.count("c")
-        tracer.begin("i", "y")
-        tracer.clear()
-        assert tracer.records == []
-        assert tracer.counter("c") == 0
-        with pytest.raises(KeyError):
-            tracer.end("i", "y")
