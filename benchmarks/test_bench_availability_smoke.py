@@ -4,8 +4,8 @@ The full availability sweep runs nine traced cells; this smoke runs
 only the deterministic scripted-outage pair (every fault class fires
 exactly once on a fixed clock, no MTBF sampling) and asserts the
 headline: self-healing cuts tenant-seconds of unavailability by at
-least the >= 5x target.  Wired as its own non-gating CI job alongside
-the federation smoke; see `.github/workflows/ci.yml`.
+least the >= 5x target.  Runs in the non-gating ``benchmarks`` CI job
+with the other smokes; see `.github/workflows/ci.yml`.
 """
 
 from __future__ import annotations

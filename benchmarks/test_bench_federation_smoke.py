@@ -5,8 +5,8 @@ small tenant count, one pod vs two pods with spill, plus the pinned
 baseline at two pods — so a regression on the global placement path
 (spill decisions, two-phase admission claims, inter-pod migration)
 surfaces in PRs in seconds instead of the full sweep's minutes.
-Wired as its own non-gating CI job alongside the shard smoke; see
-`.github/workflows/ci.yml`.
+Runs in the non-gating ``benchmarks`` CI job with the other smokes;
+see `.github/workflows/ci.yml`.
 """
 
 from __future__ import annotations

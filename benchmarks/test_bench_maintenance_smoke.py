@@ -4,9 +4,8 @@ The full maintenance bench runs the three-cell study and writes the
 artifact; this smoke runs only the drain and drain+faults cells
 head-to-head and asserts the two headlines — the drain commits with
 full admission, and the scripted correlated outage aborts with
-conservation holding.  Wired as its own non-gating CI job alongside
-the availability and federation smokes; see
-`.github/workflows/ci.yml`.
+conservation holding.  Runs in the non-gating ``benchmarks`` CI job
+with the other smokes; see `.github/workflows/ci.yml`.
 """
 
 from __future__ import annotations

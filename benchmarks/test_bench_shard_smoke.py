@@ -4,8 +4,8 @@ A reduced `cluster_scale` run — one pod size, one (high) arrival rate,
 a small request count, 1 shard vs per-rack shards — so a regression on
 the SDM-C reservation path (lock scope growing, two-phase overhead,
 offload breaking) surfaces in PRs in seconds instead of the full
-sweep's minutes.  Wired as its own non-gating CI job; see
-`.github/workflows/ci.yml`.
+sweep's minutes.  Runs in the non-gating ``benchmarks`` CI job with
+the other smokes; see `.github/workflows/ci.yml`.
 """
 
 from __future__ import annotations

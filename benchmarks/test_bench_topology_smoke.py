@@ -2,8 +2,8 @@
 
 Compiles every named template (S/M/L/XL) on the serial backend and
 runs a reduced federation sweep on template S, asserting the compiled
-spec actually drives the experiment end to end.  Wired as its own
-non-gating CI job alongside the other tier smokes; see
+spec actually drives the experiment end to end.  Runs in the
+non-gating ``benchmarks`` CI job with the other smokes; see
 `.github/workflows/ci.yml`.
 """
 

@@ -4,9 +4,15 @@ Usage::
 
     dredbox-repro list
     dredbox-repro run fig12
-    dredbox-repro run-all
+    dredbox-repro run federation --set pods=2 --set spill_policy=never
+    dredbox-repro run-all --seed 7
     dredbox-repro topology validate examples/topologies/*.json
     dredbox-repro topology describe M
+
+``list`` prints each experiment with the axes its driver declares;
+``--set AXIS=VALUE`` (repeatable) pins one of them, typed by the
+driver's annotation.  A configuration error prints one line and exits
+with status 2.
 """
 
 from __future__ import annotations
@@ -15,84 +21,25 @@ import argparse
 import json
 import sys
 
-from repro.experiments.runner import EXPERIMENTS, run_all
-from repro.federation.placer import SPILL_POLICIES
+from repro.errors import ConfigurationError
+from repro.experiments.runner import (
+    EXPERIMENTS,
+    axes,
+    parse_assignments,
+    run_all,
+)
 
 
-def _add_axis_flags(parser: argparse.ArgumentParser) -> None:
-    """Seed + sweep-axis overrides shared by ``run`` and ``run-all``."""
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags shared by ``run`` and ``run-all``."""
     parser.add_argument("--seed", type=int, default=None,
                         help="base RNG seed threaded through the "
                              "experiment (default: each driver's own)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="controller shard count for shard-aware "
-                             "experiments (cluster_scale; default: "
-                             "sweep 1, half-rack and one-per-rack)")
-    parser.add_argument("--pods", type=int, default=None,
-                        help="pod count for federation-aware "
-                             "experiments (federation; default: sweep "
-                             "the driver's pod axis)")
-    parser.add_argument("--spill-policy", choices=SPILL_POLICIES,
-                        default=None, dest="spill_policy",
-                        help="global-placer spill policy for "
-                             "federation-aware experiments (default: "
-                             "compare pinned vs least-loaded)")
-    parser.add_argument("--mtbf", type=float, default=None,
-                        help="mean time between failures (s) applied "
-                             "to every fault class in fault-aware "
-                             "experiments (availability; default: "
-                             "sweep the driver's MTBF axis)")
-    parser.add_argument("--fault-classes", default=None,
-                        dest="fault_classes",
-                        help="comma-separated fault classes to inject "
-                             "(memory_brick, rack_uplink, switch, "
-                             "shard, pod; default: all)")
-    parser.add_argument("--self-heal", choices=("on", "off"),
-                        default=None, dest="self_heal",
-                        help="pin the availability sweep's reaction "
-                             "axis (default: compare on vs off)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="run federation-aware experiments on the "
-                             "message-passing parallel backend with "
-                             "this many OS worker processes (0 = its "
-                             "in-process serial reference; default: "
-                             "the direct-call serial controller)")
-    parser.add_argument("--sync-window", type=float, default=None,
-                        dest="sync_window",
-                        help="conservative synchronization window "
-                             "(lookahead) in seconds for the parallel "
-                             "backend; needs --workers (default: the "
-                             "inter-pod link latency)")
-    parser.add_argument("--replica-groups", type=int, default=None,
-                        dest="replica_groups",
-                        help="group every N consecutive tenants into a "
-                             "replica set and place group members on "
-                             "distinct pods via the placer's "
-                             "anti-affinity (federation; N >= 2; "
-                             "default: ungrouped tenants)")
-    parser.add_argument("--drain", default=None,
-                        help="pod the maintenance study rolls out of "
-                             "service mid-trace, e.g. pod0 "
-                             "(maintenance; default: the hot pod)")
-    parser.add_argument("--hazard", default=None,
-                        help="failure-domain inter-arrival hazard for "
-                             "the maintenance study's drain+faults "
-                             "cell: exponential:<mean_s> or "
-                             "weibull:<scale_s>:<shape> (shape < 1 = "
-                             "infant mortality, > 1 = wear-out; "
-                             "default: exponential at the domain MTBF)")
-    parser.add_argument("--domains", default=None,
-                        choices=("rack-power", "pod-network", "both"),
-                        help="which correlated failure-domain set the "
-                             "maintenance study injects (default: "
-                             "rack-power)")
-    parser.add_argument("--topology", default=None,
-                        help="compiled topology for the federation-"
-                             "tier experiments (federation, "
-                             "availability, maintenance, "
-                             "parallel_scaling): a template name "
-                             "(S, M, L, XL) or a spec file path "
-                             "(default: each driver's own template)")
+    parser.add_argument("--set", action="append", default=[],
+                        metavar="AXIS=VALUE",
+                        help="pin one of the experiment's axes, e.g. "
+                             "--set pods=2 (repeatable; `list` shows "
+                             "every experiment's axes)")
     parser.add_argument("--profile", action="store_true",
                         help="wrap each experiment in cProfile and "
                              "append the hottest functions (sorted by "
@@ -111,10 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment")
     run.add_argument("experiment", choices=sorted(EXPERIMENTS),
                      help="experiment id (paper table/figure)")
-    _add_axis_flags(run)
+    _add_run_flags(run)
 
     run_all_cmd = sub.add_parser("run-all", help="run every experiment")
-    _add_axis_flags(run_all_cmd)
+    _add_run_flags(run_all_cmd)
 
     topology = sub.add_parser(
         "topology", help="validate or describe topology specs")
@@ -177,45 +124,27 @@ def main(argv: list[str] | None = None) -> int:
     """CLI main; returns the process exit code."""
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        for name in EXPERIMENTS:
-            print(name)
+        for name, driver in EXPERIMENTS.items():
+            declared = " ".join(f"{axis}={kind.__name__}"
+                                for axis, kind in axes(driver).items())
+            print(f"{name:<14}{declared}".rstrip())
         return 0
     if args.command == "topology":
         return _run_topology(args)
-    if args.command == "run":
-        report = run_all([args.experiment], seed=args.seed,
-                         shards=args.shards, pods=args.pods,
-                         spill_policy=args.spill_policy,
-                         mtbf=args.mtbf,
-                         fault_classes=args.fault_classes,
-                         self_heal=args.self_heal,
-                         workers=args.workers,
-                         sync_window=args.sync_window,
-                         replica_groups=args.replica_groups,
-                         drain=args.drain, hazard=args.hazard,
-                         domains=args.domains,
-                         topology=args.topology,
-                         profile=args.profile)
-        print(report.runs[0].rendered)
-        if report.runs[0].profile is not None:
-            print(report.runs[0].profile)
-        return 0
+    names = [args.experiment] if args.command == "run" else None
+    try:
+        report = run_all(names, seed=args.seed, profile=args.profile,
+                         **parse_assignments(names, args.set))
+    except ConfigurationError as error:
+        print(f"dredbox-repro: error: {error}", file=sys.stderr)
+        return 2
     if args.command == "run-all":
-        print(run_all(seed=args.seed, shards=args.shards,
-                      pods=args.pods,
-                      spill_policy=args.spill_policy,
-                      mtbf=args.mtbf,
-                      fault_classes=args.fault_classes,
-                      self_heal=args.self_heal,
-                      workers=args.workers,
-                      sync_window=args.sync_window,
-                      replica_groups=args.replica_groups,
-                      drain=args.drain, hazard=args.hazard,
-                      domains=args.domains,
-                      topology=args.topology,
-                      profile=args.profile).rendered())
+        print(report.rendered())
         return 0
-    return 2  # pragma: no cover - argparse enforces the choices
+    print(report.runs[0].rendered)
+    if report.runs[0].profile is not None:
+        print(report.runs[0].profile)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,9 +24,10 @@ Beyond the paper's artifacts:
   (1..8 racks behind the inter-rack switch tier).
 * ``datamover`` — remote-memory data-mover cache/scheduler sweep.
 * ``cluster_scale`` — control-plane latency under arrival rate × pod
-  size × controller shard count (``--shards``).
+  size × controller shard count (``--set shards=N``).
 * ``federation`` — multi-pod global placement under pods × aggregate
-  arrival rate × spill policy (``--pods``, ``--spill-policy``).
+  arrival rate × spill policy (``--set pods=N``,
+  ``--set spill_policy=P``).
 """
 
 from repro.experiments.fig7_ber import Fig7Result, run_fig7

@@ -61,7 +61,7 @@ ARRIVAL_RATE_HZ = 5.0
 TENANT_COUNT = 120
 SPILL_POLICY = "least-loaded"
 
-#: The compiled topology of every cell when ``--topology`` is absent:
+#: The compiled topology of every cell when no ``topology`` is set:
 #: template ``M`` builds exactly the federation this driver used to
 #: hand-build (:data:`POD_COUNT` pods, least-loaded spill), preserving
 #: the zero-fault row's bit-identity with the federation sweep's
@@ -285,7 +285,7 @@ def _parse_classes(fault_classes: Optional[str]
             f"unknown fault classes {', '.join(unknown)}; known: "
             f"{', '.join(sorted(known))}")
     if not names:
-        raise ConfigurationError("--fault-classes must name at least "
+        raise ConfigurationError("fault_classes must name at least "
                                  "one class")
     return names
 
@@ -295,51 +295,38 @@ def run_availability(mtbf_axis: tuple[float, ...] = DEFAULT_MTBF_AXIS,
                      mtbf: Optional[float] = None,
                      fault_classes: Optional[str] = None,
                      self_heal: Optional[str] = None,
-                     workers: Optional[int] = None,
-                     sync_window: Optional[float] = None,
                      topology: Optional[str] = None
                      ) -> AvailabilityResult:
     """Sweep failure rate × self-healing on/off.
 
-    *mtbf* (the CLI ``--mtbf`` flag) pins the failure-rate axis to one
-    MTBF; *fault_classes* (``--fault-classes``, comma-separated) limits
-    which classes the injector schedules; *self_heal* (``--self-heal``,
-    ``on``/``off``) pins the reaction axis — by default both modes run
-    and the summary reports the downtime reduction.  Every sweep also
-    runs the deterministic scripted-outage pair and a zero-fault
-    baseline row.
+    *mtbf* (the CLI's ``--set mtbf=S``) pins the failure-rate axis to
+    one MTBF; *fault_classes* (``--set fault_classes=a,b``) limits
+    which classes the injector schedules; *self_heal*
+    (``--set self_heal=on|off``) pins the reaction axis — by default
+    both modes run and the summary reports the downtime reduction.
+    Every sweep also runs the deterministic scripted-outage pair and a
+    zero-fault baseline row.
 
-    *topology* (``--topology``) compiles every cell's federation from
-    a named template or spec file instead of the default
-    :data:`DEFAULT_TOPOLOGY`; it needs at least :data:`POD_COUNT` pods
-    because the scripted-outage schedule targets pods 0..2 by name.
-
-    The parallel federation backend (*workers* / *sync_window*, the
-    CLI ``--workers`` / ``--sync-window`` flags) is rejected here: it
-    has no fault path.  The injector's fault classes (memory bricks,
-    rack uplinks, switches, shards, whole pods) and self-healing reach
-    directly into pod internals, which live in other simulators — and
-    possibly other OS processes — under that backend.
+    *topology* (``--set topology=SPEC``) compiles every cell's
+    federation from a named template or spec file instead of the
+    default :data:`DEFAULT_TOPOLOGY`; it needs at least
+    :data:`POD_COUNT` pods because the scripted-outage schedule targets
+    pods 0..2 by name.  The sweep runs on the serial federation
+    backend only: fault injection and self-healing reach into pod
+    internals.
     """
-    if workers is not None or sync_window is not None:
-        raise ConfigurationError(
-            "the availability sweep only runs on the serial federation "
-            "backend: the parallel backend has no fault path (fault "
-            "injection and self-healing manipulate pod internals that "
-            "are process-local under --workers); drop --workers/"
-            "--sync-window here")
     if mtbf is not None and mtbf <= 0:
-        raise ConfigurationError(f"--mtbf must be positive, got {mtbf}")
+        raise ConfigurationError(f"mtbf must be positive, got {mtbf}")
     if self_heal is not None and self_heal not in ("on", "off"):
         raise ConfigurationError(
-            f"--self-heal must be 'on' or 'off', got {self_heal!r}")
+            f"self_heal must be 'on' or 'off', got {self_heal!r}")
     classes = _parse_classes(fault_classes)
     spec = load_spec(topology if topology is not None
                      else DEFAULT_TOPOLOGY)
     if spec.pods < POD_COUNT:
         raise ConfigurationError(
             f"the availability sweep's scripted outages target pods "
-            f"0..{POD_COUNT - 1}; --topology {spec.name!r} has only "
+            f"0..{POD_COUNT - 1}; topology {spec.name!r} has only "
             f"{spec.pods} pod(s)")
     axis = (float(mtbf),) if mtbf is not None else mtbf_axis
     heal_modes = ((self_heal == "on",) if self_heal is not None

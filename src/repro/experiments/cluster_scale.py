@@ -312,7 +312,8 @@ def run_cluster_scale(rack_counts: tuple[int, ...] = (1, 2, 4, 8),
     (e.g. an 8-rack pod sweeps 1, 4 and 8 shards), so the sweep shows
     where between centralized and fully sharded the two-phase
     cross-shard traffic starts to matter.  An explicit *shards* (the
-    CLI ``--shards`` flag) pins the axis to that single count instead.
+    CLI's ``--set shards=N``) pins the axis to that single count
+    instead.
     """
     result = ClusterScaleResult(allocation_count=allocation_count)
     for rack_count in rack_counts:

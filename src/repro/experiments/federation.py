@@ -41,8 +41,8 @@ from repro.federation.rebalancer import FederationRebalancer
 from repro.topology import TopologySpec, compile_spec, load_spec
 from repro.units import gib, to_milliseconds
 
-#: The template every cell's topology derives from when ``--topology``
-#: is absent: compiled ``M`` is construction-identical to the
+#: The template every cell's topology derives from when no ``topology``
+#: is set: compiled ``M`` is construction-identical to the
 #: hand-built ``build_federation(pods)`` this sweep used before PR 10.
 DEFAULT_TOPOLOGY = "M"
 
@@ -273,31 +273,32 @@ def run_federation(pod_counts: tuple[int, ...] = (2, 3),
                    ) -> FederationResult:
     """Sweep pod count × aggregate arrival rate × spill policy.
 
-    *pods* (the CLI ``--pods`` flag) pins the pod-count axis to one
-    value; *spill_policy* (``--spill-policy``) pins the policy axis —
-    by default ``never`` (pinned-to-home baseline) and ``least-loaded``
-    are compared.  *workers* (``--workers``) switches every cell to the
-    message-passing parallel federation backend — ``0`` runs its
-    in-process serial reference, ``N >= 1`` spreads the pods over *N*
-    OS processes; *sync_window* (``--sync-window``, seconds) overrides
-    its conservative lookahead.  The parallel backend is deterministic
+    *pods* (the CLI's ``--set pods=N``) pins the pod-count axis to one
+    value; *spill_policy* (``--set spill_policy=P``) pins the policy
+    axis — by default ``never`` (pinned-to-home baseline) and
+    ``least-loaded`` are compared.  *workers* (``--set workers=N``)
+    switches every cell to the message-passing parallel federation
+    backend — ``0`` runs its in-process serial reference, ``N >= 1``
+    spreads the pods over *N* OS processes; *sync_window*
+    (``--set sync_window=S``, seconds) overrides its conservative
+    lookahead.  The parallel backend is deterministic
     across worker counts but models explicit coordinator↔pod link
     latency, so its cells differ (physically, not numerically) from
     the direct-call serial sweep's.
 
-    *replica_groups* (``--replica-groups``, an int >= 2) groups every
+    *replica_groups* (``--set replica_groups=N``, N >= 2) groups every
     *N* consecutive tenants into a replica set and turns on the
     placer's anti-affinity so group members land on distinct pods —
     one pod (or failure-domain) loss then never takes a whole group
     down.  Serial backend only.
 
-    *topology* (``--topology``: a template name like ``M`` or a spec
-    file path) names the compiled topology every cell derives from.
-    Without it the sweep compiles the :data:`DEFAULT_TOPOLOGY`
+    *topology* (``--set topology=SPEC``: a template name like ``M`` or
+    a spec file path) names the compiled topology every cell derives
+    from.  Without it the sweep compiles the :data:`DEFAULT_TOPOLOGY`
     template over the usual pod-count axis; with it the pod axis pins
-    to the spec's own pod count (``--pods`` still overrides), and the
-    spec's replica-group policy takes effect unless
-    ``--replica-groups`` is passed.
+    to the spec's own pod count (*pods* still overrides), and the
+    spec's replica-group policy takes effect unless *replica_groups*
+    is set.
     """
     if pods is not None and pods < 1:
         raise ConfigurationError(f"need >= 1 pod, got {pods}")
@@ -311,27 +312,27 @@ def run_federation(pod_counts: tuple[int, ...] = (2, 3),
             f"{', '.join(SPILL_POLICIES)}")
     if workers is not None and workers < 0:
         raise ConfigurationError(
-            f"--workers must be >= 0 (0 = in-process parallel "
+            f"workers must be >= 0 (0 = in-process parallel "
             f"backend), got {workers}")
     if sync_window is not None:
         if workers is None:
             raise ConfigurationError(
-                "--sync-window only applies to the parallel backend; "
-                "pass --workers as well (0 for its in-process mode)")
+                "sync_window only applies to the parallel backend; "
+                "set workers too (--set workers=0 runs it in-process)")
         if not sync_window > 0:
             raise ConfigurationError(
-                f"--sync-window must be positive seconds, got "
+                f"sync_window must be positive seconds, got "
                 f"{sync_window}")
     if replica_groups is not None:
         if replica_groups < 2:
             raise ConfigurationError(
-                f"--replica-groups needs groups of >= 2 replicas for "
+                f"replica_groups needs groups of >= 2 replicas for "
                 f"anti-affinity to mean anything, got {replica_groups}")
         if workers is not None:
             raise ConfigurationError(
-                "--replica-groups only runs on the serial federation "
+                "replica_groups only runs on the serial federation "
                 "backend: the anti-affinity ledger is coordinator-"
-                "local; drop --workers")
+                "local; drop the workers axis")
     if pods is not None:
         pod_axis: tuple[int, ...] = (pods,)
     elif topology is not None:

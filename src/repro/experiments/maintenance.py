@@ -51,7 +51,7 @@ from repro.maintenance import DrainReport
 from repro.topology import TopologySpec, compile_spec, load_spec
 from repro.units import to_milliseconds
 
-#: The compiled topology of every cell when ``--topology`` is absent.
+#: The compiled topology of every cell when no ``topology`` is set.
 #: Template ``M`` carries this study's whole shape declaratively: the
 #: federation the driver used to hand-build, the rack-power and
 #: pod-network domain layers (60 s MTBF / 4 s MTTR), and the rolling
@@ -60,7 +60,7 @@ from repro.units import to_milliseconds
 #: populated).
 DEFAULT_TOPOLOGY = "M"
 
-#: Fallback drain schedule when a ``--topology`` spec declares no
+#: Fallback drain schedule when a ``topology`` spec declares no
 #: maintenance windows: drain the hot pod at the template ``M`` time.
 DRAIN_POD = "pod0"
 DRAIN_AT_S = 4.0
@@ -71,7 +71,7 @@ DRAIN_AT_S = 4.0
 OUTAGE_AFTER_S = 0.2
 OUTAGE_DURATION_S = 5.0
 
-#: Domain-layer choices of the ``--domains`` flag (``both`` = every
+#: Domain-layer choices of the ``domains`` axis (``both`` = every
 #: layer the spec declares).
 DOMAIN_SETS = ("rack-power", "pod-network", "both")
 
@@ -323,29 +323,23 @@ def run_maintenance(seed: int = 2018,
                     drain: Optional[str] = None,
                     hazard: Optional[str] = None,
                     domains: Optional[str] = None,
-                    workers: Optional[int] = None,
-                    sync_window: Optional[float] = None,
                     topology: Optional[str] = None
                     ) -> MaintenanceResult:
     """Baseline vs drain vs drain-under-correlated-faults.
 
     The topology, the correlated domain layers and the rolling-drain
-    schedule all come compiled from one spec (*topology*, the CLI
-    ``--topology`` flag; default template ``M``).  *drain* (``--drain``)
-    overrides the schedule to a single drain of the named pod at the
-    spec's first window time; *hazard* (``--hazard``,
-    ``weibull:<scale>:<shape>`` or ``exponential:<mean>``) overrides
-    the background domains' inter-arrival distribution; *domains*
-    (``--domains``: ``rack-power``, ``pod-network`` or ``both``)
-    filters which of the spec's domain layers fail in the drain+faults
-    cell.
+    schedule all come compiled from one spec (*topology*, the CLI's
+    ``--set topology=SPEC``; default template ``M``).  *drain*
+    (``--set drain=podN``) overrides the schedule to a single drain of
+    the named pod at the spec's first window time; *hazard*
+    (``--set hazard=...``, ``weibull:<scale>:<shape>`` or
+    ``exponential:<mean>``) overrides the background domains'
+    inter-arrival distribution; *domains* (``--set domains=...``:
+    ``rack-power``, ``pod-network`` or ``both``) filters which of the
+    spec's domain layers fail in the drain+faults cell.  The study
+    runs on the serial federation backend only: the drain supervisor
+    and domain faults reach into pod internals.
     """
-    if workers is not None or sync_window is not None:
-        raise ConfigurationError(
-            "the maintenance study only runs on the serial federation "
-            "backend: the drain supervisor and domain faults reach "
-            "into pod internals that are process-local under "
-            "--workers; drop --workers/--sync-window here")
     spec = load_spec(topology if topology is not None
                      else DEFAULT_TOPOLOGY)
     domain_set = domains if domains is not None else "rack-power"
@@ -356,7 +350,7 @@ def run_maintenance(seed: int = 2018,
     kinds = None if domain_set == "both" else (domain_set,)
     hazard_fn = coerce_hazard(hazard) if hazard is not None else None
 
-    # The drain schedule is the spec's; --drain (or a spec with no
+    # The drain schedule is the spec's; a drain axis (or a spec with no
     # windows) replaces it with a single drain of the named pod.
     drain_at_s = (spec.maintenance[0].at_s if spec.maintenance
                   else DRAIN_AT_S)
@@ -364,7 +358,7 @@ def run_maintenance(seed: int = 2018,
         spec.maintenance[0].pod if spec.maintenance else DRAIN_POD)
     if not drain_pod.startswith("pod"):
         raise ConfigurationError(
-            f"--drain must name a pod (pod0..pod{spec.pods - 1}), "
+            f"drain must name a pod (pod0..pod{spec.pods - 1}), "
             f"got {drain_pod!r}")
     if drain is not None or not spec.maintenance:
         spec = spec.override(maintenance={"windows": [

@@ -9,14 +9,14 @@ seed through the whole sweep, so a full reproduction is a single
 streams from it via :class:`~repro.sim.rng.RngRegistry`; deterministic
 drivers accept and ignore it.
 
-Axis overrides (``shards`` for the ``cluster_scale`` sweep; ``pods``,
-``spill_policy``, ``workers``, ``sync_window`` and ``replica_groups``
-for the ``federation`` sweep; ``mtbf``, ``fault_classes`` and
-``self_heal`` for the ``availability`` sweep; ``drain``, ``hazard``
-and ``domains`` for the ``maintenance`` study; ``topology`` for every
-federation-tier driver) are forwarded only to drivers whose signature
-declares the keyword, so sweep-specific flags never break the other
-experiments.
+Drivers declare their own sweep axes (:func:`axes`): every keyword
+that defaults to ``None`` and is annotated ``Optional[int]``,
+``Optional[float]`` or ``Optional[str]`` — ``shards`` on
+``cluster_scale``, ``pods`` or ``topology`` on the federation tier,
+and so on.  :func:`run_all` forwards an axis only to the selected
+drivers that declare it and refuses one that none of them declares;
+:func:`parse_assignments` types the CLI's ``--set AXIS=VALUE`` text by
+the declaring driver's annotation.
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ import cProfile
 import inspect
 import io
 import pstats
+import typing
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.errors import ConfigurationError
 from repro.experiments.availability import run_availability
 from repro.experiments.cluster_scale import run_cluster_scale
 from repro.experiments.datamover import run_datamover
@@ -39,7 +41,6 @@ from repro.experiments.fig12_poweroff import run_fig12
 from repro.experiments.fig13_energy import run_fig13
 from repro.experiments.kernel_bench import run_kernel_bench
 from repro.experiments.maintenance import run_maintenance
-from repro.experiments.parallel_scaling import run_parallel_scaling
 from repro.experiments.pod_scale import run_pod_scale
 from repro.experiments.table1_workloads import run_table1
 
@@ -58,11 +59,76 @@ EXPERIMENTS: dict[str, Callable[..., object]] = {
     "availability": run_availability,
     "maintenance": run_maintenance,
     "kernel_bench": run_kernel_bench,
-    "parallel_scaling": run_parallel_scaling,
 }
 
 #: Functions shown when an experiment runs under ``--profile``.
 PROFILE_TOP_N = 25
+
+#: Value types an axis may take; ``--set`` text converts with them.
+AXIS_TYPES = (int, float, str)
+
+
+def axes(driver: Callable[..., object]) -> dict[str, type]:
+    """*driver*'s sweep axes, name -> value type, in signature order.
+
+    An axis is a keyword whose default is ``None`` and whose annotation
+    is ``Optional[int]``, ``Optional[float]`` or ``Optional[str]``.
+    """
+    hints = typing.get_type_hints(driver)
+    declared = {}
+    for name, parameter in inspect.signature(driver).parameters.items():
+        kinds = typing.get_args(hints.get(name))
+        if (parameter.default is None and len(kinds) == 2
+                and kinds[1] is type(None) and kinds[0] in AXIS_TYPES):
+            declared[name] = kinds[0]
+    return declared
+
+
+def _declared(names: list[str] | None) -> dict[str, dict[str, type]]:
+    """The selected experiments (all by default) -> their drivers' axes."""
+    if names is None:
+        names = list(EXPERIMENTS)
+    for name in names:
+        if name not in EXPERIMENTS:
+            known = ", ".join(EXPERIMENTS)
+            raise KeyError(f"unknown experiment {name!r}; known: {known}")
+    return {name: axes(EXPERIMENTS[name]) for name in names}
+
+
+def _axis_type(declared: dict[str, dict[str, type]], axis: str) -> type:
+    """*axis*'s value type; refuses an axis no selected driver declares."""
+    for own in declared.values():
+        if axis in own:
+            return own[axis]
+    known = sorted({name for own in declared.values() for name in own})
+    raise ConfigurationError(
+        f"no selected experiment declares axis {axis!r} (declared: "
+        f"{', '.join(known) or 'none'})")
+
+
+def parse_assignments(names: list[str] | None,
+                      assignments: list[str]) -> dict[str, object]:
+    """``AXIS=VALUE`` strings -> axis values for :func:`run_all`.
+
+    Each value converts with the annotation of a selected driver that
+    declares the axis; a missing ``=``, an undeclared axis or a value
+    the type refuses raises :class:`ConfigurationError`.
+    """
+    declared = _declared(names)
+    values: dict[str, object] = {}
+    for assignment in assignments:
+        axis, equals, text = assignment.partition("=")
+        if not equals:
+            raise ConfigurationError(
+                f"--set takes AXIS=VALUE, got {assignment!r}")
+        kind = _axis_type(declared, axis)
+        try:
+            values[axis] = kind(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"axis {axis!r} takes {kind.__name__}, got "
+                f"{text!r}") from None
+    return values
 
 
 @dataclass
@@ -109,55 +175,28 @@ def _profiled(driver: Callable[..., object],
 
 def run_all(names: list[str] | None = None,
             seed: Optional[int] = None,
-            shards: Optional[int] = None,
-            pods: Optional[int] = None,
-            spill_policy: Optional[str] = None,
-            mtbf: Optional[float] = None,
-            fault_classes: Optional[str] = None,
-            self_heal: Optional[str] = None,
-            workers: Optional[int] = None,
-            sync_window: Optional[float] = None,
-            replica_groups: Optional[int] = None,
-            drain: Optional[str] = None,
-            hazard: Optional[str] = None,
-            domains: Optional[str] = None,
-            topology: Optional[str] = None,
-            profile: bool = False) -> RunAllReport:
+            profile: bool = False,
+            **axes: object) -> RunAllReport:
     """Execute the named experiments (all of them by default).
 
     When *seed* is given it is passed to every driver, overriding each
     one's default, so the whole sweep reproduces from one number.
-    Axis overrides — *shards* (controller shard count, ``cluster_scale``),
-    *pods* (pod count), *spill_policy* / *workers* / *sync_window* /
-    *replica_groups* (``federation``), *mtbf* / *fault_classes* /
-    *self_heal* (``availability``), *drain* / *hazard* / *domains*
-    (``maintenance``), and *topology* (a compiled-topology template
-    name or spec file for the federation-tier drivers) — are forwarded
-    only to drivers whose signature declares the keyword.
+    Each of *axes* goes to the selected drivers that declare it; one
+    that no selected driver declares raises
+    :class:`~repro.errors.ConfigurationError` before anything runs.
     With *profile* each driver runs under :mod:`cProfile` and the
     report carries the top functions by cumulative time — the hot-path
     view the kernel optimizations are steered by.
     """
-    if names is None:
-        names = list(EXPERIMENTS)
-    overrides = {"shards": shards, "pods": pods,
-                 "spill_policy": spill_policy, "mtbf": mtbf,
-                 "fault_classes": fault_classes, "self_heal": self_heal,
-                 "workers": workers, "sync_window": sync_window,
-                 "replica_groups": replica_groups, "drain": drain,
-                 "hazard": hazard, "domains": domains,
-                 "topology": topology}
+    declared = _declared(names)
+    for axis in axes:
+        _axis_type(declared, axis)
     report = RunAllReport()
-    for name in names:
-        if name not in EXPERIMENTS:
-            known = ", ".join(EXPERIMENTS)
-            raise KeyError(f"unknown experiment {name!r}; known: {known}")
+    for name, own in declared.items():
         driver = EXPERIMENTS[name]
         kwargs = {} if seed is None else {"seed": seed}
-        parameters = inspect.signature(driver).parameters
-        for axis, value in overrides.items():
-            if value is not None and axis in parameters:
-                kwargs[axis] = value
+        kwargs.update((axis, value) for axis, value in axes.items()
+                      if axis in own)
         if profile:
             result, stats_text = _profiled(driver, kwargs)
         else:

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Optional
 
 from repro.errors import FederationError
 
-#: Spill policies of the global placer (the CLI ``--spill-policy`` axis).
+#: Spill policies of the global placer (the CLI's ``spill_policy`` axis).
 SPILL_POLICIES = ("never", "first-fit", "least-loaded")
 
 

@@ -49,10 +49,13 @@ class ControlContext:
     """
 
     def __init__(self, sim: Optional[Simulator] = None) -> None:
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = sim = sim if sim is not None else Simulator()
         self.reservation = Resource(self.sim)
         self._domains: dict[str, Resource] = {}
-        self.tracer = Tracer(lambda: self.sim.now)
+        # The clock closes over the simulator, not the context: a
+        # closure over ``self`` would make every context a reference
+        # cycle that only the cyclic collector frees.
+        self.tracer = Tracer(lambda: sim.now)
 
     @property
     def total_reservation_queue_depth(self) -> int:

@@ -94,8 +94,8 @@ class CompiledTopology:
         *kinds* filters to a subset of the spec's domain layers (e.g.
         ``("rack-power",)``); *hazard* (a spec string or a
         :class:`~repro.faults.domains.Hazard`) overrides every
-        emitted domain's inter-arrival distribution — the CLI
-        ``--hazard`` axis.  Only the serial backend exposes pod
+        emitted domain's inter-arrival distribution — the CLI's
+        ``--set hazard=...`` axis.  Only the serial backend exposes pod
         internals to the domain builders, so this raises on a
         parallel-compiled topology.
         """

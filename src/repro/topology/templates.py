@@ -22,8 +22,9 @@ template  pods  racks/pod   bricks per rack     operational surface
 federation the ``federation``/``availability``/``maintenance`` drivers
 used to hand-build (three ``PodBuilder`` pods, two racks each, per-rack
 sharded controllers), which the compiler tests pin with a federation
-fingerprint.  ``L`` is the parallel-scaling shape (wide pods, spread
-placement, per-request dispatch, 24 ms sync window).
+fingerprint.  ``L`` is the wide shape behind fedbench's ``steady_L``
+and ``parallel_L0`` (wide pods, spread placement, per-request dispatch,
+24 ms sync window).
 """
 
 from __future__ import annotations

@@ -8,9 +8,11 @@ hook is an inert no-op when no fault ever fires.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
 from repro.experiments import availability
 from repro.experiments.availability import (
@@ -20,7 +22,11 @@ from repro.experiments.availability import (
     run_availability,
 )
 from repro.experiments.federation import _run_cell as federation_cell
-from repro.experiments.runner import EXPERIMENTS, run_all
+from repro.experiments.runner import (
+    EXPERIMENTS,
+    parse_assignments,
+    run_all,
+)
 from repro.topology import template
 
 
@@ -104,11 +110,12 @@ class TestValidation:
             run_availability(fault_classes=" , ")
 
     def test_non_positive_mtbf_rejected(self):
-        with pytest.raises(ConfigurationError, match="--mtbf"):
+        with pytest.raises(ConfigurationError,
+                           match="mtbf must be positive"):
             run_availability(mtbf=-1.0)
 
     def test_bad_self_heal_rejected(self):
-        with pytest.raises(ConfigurationError, match="--self-heal"):
+        with pytest.raises(ConfigurationError, match="self_heal must be"):
             run_availability(self_heal="maybe")
 
 
@@ -118,22 +125,28 @@ class TestFlags:
 
     def test_cli_parses_fault_flags(self):
         args = build_parser().parse_args(
-            ["run", "availability", "--mtbf", "25",
-             "--fault-classes", "pod,shard", "--self-heal", "off"])
-        assert args.mtbf == 25.0
-        assert args.fault_classes == "pod,shard"
-        assert args.self_heal == "off"
-        args = build_parser().parse_args(["run-all", "--mtbf", "40"])
-        assert args.mtbf == 40.0
-        args = build_parser().parse_args(["run", "availability"])
-        assert args.mtbf is None
-        assert args.fault_classes is None
-        assert args.self_heal is None
+            ["run", "availability", "--set", "mtbf=25",
+             "--set", "fault_classes=pod,shard", "--set", "self_heal=off"])
+        values = parse_assignments(["availability"], args.set)
+        assert values == {"mtbf": 25.0, "fault_classes": "pod,shard",
+                          "self_heal": "off"}
+        assert type(values["mtbf"]) is float
+        args = build_parser().parse_args(["run-all", "--set", "mtbf=40"])
+        assert parse_assignments(None, args.set) == {"mtbf": 40.0}
 
-    def test_bad_self_heal_flag_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "availability", "--self-heal", "sometimes"])
+    def test_bad_self_heal_flag_rejected(self, capsys):
+        assert main(["run", "availability",
+                     "--set", "self_heal=sometimes"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "self_heal must be 'on' or 'off'" in err
+
+    def test_parallel_backend_axes_not_declared(self):
+        # The sweep has no fault path on the parallel backend, so it
+        # declares neither of that backend's axes.
+        for axis, value in (("workers", 2), ("sync_window", 0.5)):
+            with pytest.raises(ConfigurationError, match=axis):
+                run_all(["availability"], **{axis: value})
 
     def test_runner_forwards_fault_axes_only_where_declared(self,
                                                            monkeypatch):
@@ -143,8 +156,9 @@ class TestFlags:
             def render(self):
                 return "stub"
 
-        def fake_availability(seed=None, mtbf=None, fault_classes=None,
-                              self_heal=None):
+        def fake_availability(seed=None, mtbf: Optional[float] = None,
+                              fault_classes: Optional[str] = None,
+                              self_heal: Optional[str] = None):
             captured.update(seed=seed, mtbf=mtbf,
                             fault_classes=fault_classes,
                             self_heal=self_heal)

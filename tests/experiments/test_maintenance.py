@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
 from repro.experiments.maintenance import (
     AVAILABILITY_FLOOR,
     run_maintenance,
 )
+from repro.experiments.runner import parse_assignments, run_all
 
 
 @pytest.fixture(scope="module")
@@ -65,13 +66,16 @@ class TestDeterminism:
 
 class TestAxes:
     def test_workers_are_rejected(self):
-        with pytest.raises(ConfigurationError, match="serial"):
-            run_maintenance(workers=2)
-        with pytest.raises(ConfigurationError, match="serial"):
-            run_maintenance(sync_window=0.5)
+        # The study declares neither parallel-backend axis, so the
+        # runner refuses both before anything runs.
+        with pytest.raises(ConfigurationError, match="'workers'"):
+            run_all(["maintenance"], workers=2)
+        with pytest.raises(ConfigurationError, match="'sync_window'"):
+            run_all(["maintenance"], sync_window=0.5)
 
     def test_drain_must_name_a_pod(self):
-        with pytest.raises(ConfigurationError, match="--drain"):
+        with pytest.raises(ConfigurationError,
+                           match="drain must name a pod"):
             run_maintenance(drain="rack3")
 
     def test_unknown_domain_set_rejected(self):
@@ -87,19 +91,21 @@ class TestAxes:
 class TestCliFlags:
     def test_maintenance_flags_parsed(self):
         args = build_parser().parse_args(
-            ["run", "maintenance", "--drain", "pod1",
-             "--hazard", "weibull:30:0.7", "--domains", "both"])
+            ["run", "maintenance", "--set", "drain=pod1",
+             "--set", "hazard=weibull:30:0.7", "--set", "domains=both"])
         assert args.experiment == "maintenance"
-        assert args.drain == "pod1"
-        assert args.hazard == "weibull:30:0.7"
-        assert args.domains == "both"
+        assert parse_assignments(["maintenance"], args.set) == {
+            "drain": "pod1", "hazard": "weibull:30:0.7",
+            "domains": "both"}
 
     def test_replica_groups_flag_parsed(self):
         args = build_parser().parse_args(
-            ["run", "federation", "--replica-groups", "2"])
-        assert args.replica_groups == 2
+            ["run", "federation", "--set", "replica_groups=2"])
+        assert parse_assignments(["federation"], args.set) == {
+            "replica_groups": 2}
 
-    def test_domains_choices_enforced(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "maintenance", "--domains", "nope"])
+    def test_domains_choices_enforced(self, capsys):
+        assert main(["run", "maintenance", "--set", "domains=nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unknown domain set 'nope'" in err

@@ -2,10 +2,40 @@
 
 from __future__ import annotations
 
+import functools
+from typing import Optional
+
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.runner import EXPERIMENTS, run_all
+from repro.errors import ConfigurationError
+from repro.experiments.runner import (
+    EXPERIMENTS,
+    axes,
+    parse_assignments,
+    run_all,
+)
+
+
+class _Rendered:
+    def render(self):
+        return "ok"
+
+
+#: Every declared axis with a ``--set`` text and the value it parses
+#: to, per driver.
+SETTABLE = {
+    "cluster_scale": {"shards": ("2", 2)},
+    "federation": {"pods": ("2", 2), "spill_policy": ("never", "never"),
+                   "workers": ("2", 2), "sync_window": ("0.5", 0.5),
+                   "replica_groups": ("3", 3), "topology": ("S", "S")},
+    "availability": {"mtbf": ("25", 25.0),
+                     "fault_classes": ("pod,shard", "pod,shard"),
+                     "self_heal": ("off", "off"), "topology": ("M", "M")},
+    "maintenance": {"drain": ("pod1", "pod1"),
+                    "hazard": ("weibull:30:0.7", "weibull:30:0.7"),
+                    "domains": ("both", "both"), "topology": ("M", "M")},
+}
 
 
 class TestRunner:
@@ -13,8 +43,7 @@ class TestRunner:
         assert set(EXPERIMENTS) == {
             "table1", "fig7", "fig8", "fig10", "fig12", "fig13",
             "pod_scale", "datamover", "cluster_scale", "federation",
-            "availability", "maintenance", "kernel_bench",
-            "parallel_scaling"}
+            "availability", "maintenance", "kernel_bench"}
 
     def test_every_driver_accepts_a_seed(self):
         import inspect
@@ -44,21 +73,42 @@ class TestRunner:
         assert "Experiment: table1" in text
         assert "Experiment: fig8" in text
 
-    def test_shards_forwarded_only_to_shard_aware_drivers(self):
-        # table1 has no `shards` keyword: the override must not break it.
-        report = run_all(["table1"], shards=2)
+    def test_shards_forwarded_only_to_shard_aware_drivers(self,
+                                                          monkeypatch):
+        # table1 has no `shards` keyword: forwarding it would TypeError.
+        captured = {}
+
+        def fake_driver(seed=None, shards: Optional[int] = None):
+            captured["shards"] = shards
+            return _Rendered()
+
+        monkeypatch.setitem(EXPERIMENTS, "cluster_scale", fake_driver)
+        report = run_all(["table1", "cluster_scale"], shards=2)
         assert "TABLE I" in report.runs[0].rendered
+        assert captured == {"shards": 2}
+
+    def test_undeclared_axis_rejected_before_anything_runs(self):
+        with pytest.raises(ConfigurationError,
+                           match="declares axis 'shards'"):
+            run_all(["table1"], shards=2)
+        with pytest.raises(ConfigurationError, match="'bogus'"):
+            run_all(None, bogus=1)
+
+    def test_declared_axes(self):
+        declared = {name: axes(driver)
+                    for name, driver in EXPERIMENTS.items()
+                    if axes(driver)}
+        assert declared == {
+            name: {axis: type(value) for axis, (_text, value)
+                   in settable.items()}
+            for name, settable in SETTABLE.items()}
 
     def test_shards_forwarded_to_shard_aware_driver(self, monkeypatch):
         captured = {}
 
-        def fake_driver(seed=None, shards=None):
+        def fake_driver(seed=None, shards: Optional[int] = None):
             captured["shards"] = shards
-
-            class Result:
-                def render(self):
-                    return "ok"
-            return Result()
+            return _Rendered()
 
         monkeypatch.setitem(EXPERIMENTS, "cluster_scale", fake_driver)
         run_all(["cluster_scale"], shards=3)
@@ -83,13 +133,10 @@ class TestRunner:
     def test_federation_axes_forwarded(self, monkeypatch):
         captured = {}
 
-        def fake_driver(seed=None, pods=None, spill_policy=None):
+        def fake_driver(seed=None, pods: Optional[int] = None,
+                        spill_policy: Optional[str] = None):
             captured.update(pods=pods, spill_policy=spill_policy)
-
-            class Result:
-                def render(self):
-                    return "ok"
-            return Result()
+            return _Rendered()
 
         monkeypatch.setitem(EXPERIMENTS, "federation", fake_driver)
         run_all(["federation"], pods=2, spill_policy="never")
@@ -122,9 +169,13 @@ class TestRunner:
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
+        lines = {line.split()[0]: line.split()[1:]
+                 for line in capsys.readouterr().out.splitlines()}
+        assert list(lines) == list(EXPERIMENTS)
+        assert lines["table1"] == []
+        assert lines["cluster_scale"] == ["shards=int"]
+        assert "sync_window=float" in lines["federation"]
+        assert "workers=int" not in lines["availability"]
 
     def test_run_single(self, capsys):
         assert main(["run", "table1"]) == 0
@@ -148,29 +199,77 @@ class TestCli:
 
     def test_shards_flag_parsed(self):
         args = build_parser().parse_args(
-            ["run", "cluster_scale", "--shards", "2"])
-        assert args.shards == 2
-        args = build_parser().parse_args(["run-all", "--shards", "4"])
-        assert args.shards == 4
+            ["run", "cluster_scale", "--set", "shards=2"])
+        assert parse_assignments(["cluster_scale"], args.set) == {
+            "shards": 2}
+        args = build_parser().parse_args(["run-all", "--set", "shards=4"])
+        assert parse_assignments(None, args.set) == {"shards": 4}
         args = build_parser().parse_args(["run", "cluster_scale"])
-        assert args.shards is None
+        assert args.set == []
 
     def test_federation_flags_parsed(self):
         args = build_parser().parse_args(
-            ["run", "federation", "--pods", "3",
-             "--spill-policy", "least-loaded"])
-        assert args.pods == 3
-        assert args.spill_policy == "least-loaded"
-        args = build_parser().parse_args(["run-all", "--pods", "2"])
-        assert args.pods == 2
-        args = build_parser().parse_args(["run", "federation"])
-        assert args.pods is None
-        assert args.spill_policy is None
+            ["run", "federation", "--set", "pods=3",
+             "--set", "spill_policy=least-loaded"])
+        assert parse_assignments(["federation"], args.set) == {
+            "pods": 3, "spill_policy": "least-loaded"}
+        args = build_parser().parse_args(["run-all", "--set", "pods=2"])
+        assert parse_assignments(None, args.set) == {"pods": 2}
 
-    def test_bad_spill_policy_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "federation", "--spill-policy", "random"])
+    def test_bad_spill_policy_rejected(self, capsys):
+        assert main(["run", "federation",
+                     "--set", "spill_policy=random"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unknown spill policy 'random'" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "federation", "--set", "pods=two"],
+         "axis 'pods' takes int, got 'two'"),
+        (["run", "federation", "--set", "sync_window=soon"],
+         "axis 'sync_window' takes float"),
+        (["run", "fig7", "--set", "shards=2"],
+         "no selected experiment declares axis 'shards'"),
+        (["run-all", "--set", "bogus=1"],
+         "no selected experiment declares axis 'bogus'"),
+        (["run", "federation", "--set", "pods"],
+         "--set takes AXIS=VALUE, got 'pods'"),
+        (["run", "federation", "--set", "pods=0"], "need >= 1 pod"),
+        (["run", "federation", "--set", "workers=0",
+          "--set", "sync_window=0"], "sync_window must be positive"),
+        (["run", "federation", "--set", "replica_groups=1"],
+         "replica_groups needs groups of >= 2"),
+        (["run", "availability", "--set", "mtbf=0"],
+         "mtbf must be positive"),
+    ])
+    def test_bad_input_exits_2_with_one_line(self, capsys, argv,
+                                             message):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("dredbox-repro: error: ")
+        assert message in err
+
+    @pytest.mark.parametrize("name", sorted(SETTABLE))
+    def test_every_axis_settable_with_its_type(self, monkeypatch, name):
+        captured = {}
+        real = EXPERIMENTS[name]
+
+        @functools.wraps(real)
+        def fake_driver(**kwargs):
+            captured.update(kwargs)
+            return _Rendered()
+
+        monkeypatch.setitem(EXPERIMENTS, name, fake_driver)
+        argv = ["run", name]
+        for axis, (text, _value) in SETTABLE[name].items():
+            argv += ["--set", f"{axis}={text}"]
+        assert main(argv) == 0
+        assert captured == {axis: value for axis, (_text, value)
+                            in SETTABLE[name].items()}
+        assert {axis: type(value) for axis, value
+                in captured.items()} == axes(real)
 
     def test_run_single_with_seed(self, capsys):
         assert main(["run", "table1", "--seed", "7"]) == 0
@@ -194,29 +293,26 @@ class TestCli:
 class TestTopologyCli:
     def test_topology_flag_parsed(self):
         args = build_parser().parse_args(
-            ["run", "federation", "--topology", "L"])
-        assert args.topology == "L"
-        args = build_parser().parse_args(["run-all", "--topology", "S"])
-        assert args.topology == "S"
-        args = build_parser().parse_args(["run", "federation"])
-        assert args.topology is None
+            ["run", "federation", "--set", "topology=L"])
+        assert parse_assignments(["federation"], args.set) == {
+            "topology": "L"}
+        args = build_parser().parse_args(
+            ["run-all", "--set", "topology=S"])
+        assert parse_assignments(None, args.set) == {"topology": "S"}
 
     def test_topology_forwarded_only_to_aware_drivers(self, monkeypatch):
         captured = {}
 
-        def fake_driver(seed=None, topology=None):
+        def fake_driver(seed=None, topology: Optional[str] = None):
             captured.update(topology=topology)
-
-            class Result:
-                def render(self):
-                    return "ok"
-            return Result()
+            return _Rendered()
 
         monkeypatch.setitem(EXPERIMENTS, "federation", fake_driver)
         run_all(["federation"], topology="S")
         assert captured == {"topology": "S"}
         # table1's driver has no topology axis; forwarding must not crash.
-        assert run_all(["table1"], topology="S").runs
+        assert len(run_all(["table1", "federation"],
+                           topology="S").runs) == 2
 
     def test_validate_templates_and_examples(self, capsys):
         assert main(["topology", "validate", "S", "M", "L", "XL",
