@@ -1,16 +1,20 @@
 """Cluster-scale control plane on the DES kernel.
 
 The layer above orchestration: where :mod:`repro.orchestration` answers
-one request at a time, this package serves *traffic* — open-loop
-multi-tenant arrival traces driven through an admission queue, a
-batched dispatcher, the SDM-C reservation critical section modeled as a
-real DES resource, and background pool housekeeping.
+one request at a time, this package serves *traffic* — requests from
+open-loop multi-tenant arrival traces driven through an admission
+queue, a batched dispatcher and the SDM-C reservation critical section
+modeled as a real DES resource.  The tenant lifecycles that turn a
+trace into requests live one tier up, in
+:class:`~repro.federation.controller.Federation` (a one-pod
+federation serves a single system).
 
 * :mod:`repro.cluster.trace` — tenant arrival traces (Poisson, diurnal,
-  bursty).
+  bursty, CSV replay).
 * :mod:`repro.cluster.control_plane` — admission queue, batched
-  dispatch, full VM lifecycles.
-* :mod:`repro.cluster.defrag` — idle-window memory-pool consolidation.
+  dispatch with brick-side completion offload.
+* :mod:`repro.cluster.defrag` — idle-window memory-pool consolidation,
+  installed by its caller on a plane's context.
 * :mod:`repro.cluster.metrics` — request records and latency/queue
   statistics.
 """

@@ -3,33 +3,35 @@
 The SDM controller is the serialization point of the whole rack
 (§IV.C): every allocation passes through its inspect/reserve critical
 section.  :class:`ControlPlane` puts that bottleneck on the DES kernel
-and serves open-loop multi-tenant traffic through it:
+and serves the requests its callers :meth:`~ControlPlane.submit` —
+the federation's tenant lifecycles
+(:class:`~repro.federation.controller.Federation`) and the controller
+benchmarks' open-loop clients:
 
-* tenants arrive from a :class:`~repro.cluster.trace.TenantTrace` and
-  drive full VM lifecycles — boot, runtime scale-up/down (explicitly or
-  through a periodically rebalancing
-  :class:`~repro.orchestration.elasticity.ElasticMemoryManager`),
-  optional migration, departure;
-* every operation enters a FIFO **admission queue** and is served by
-  dispatcher workers that execute the system's ``*_process`` DES forms,
-  so concurrent requests queue on the SDM-C reservation critical
-  section with their waiting time accounted;
+* every operation (boot, runtime scale-up/down, migration, departure)
+  enters a FIFO **admission queue** and is served by dispatcher workers
+  that execute the system's ``*_process`` DES forms, so concurrent
+  requests queue on the SDM-C reservation critical section with their
+  waiting time accounted;
 * dispatchers serve requests in **batches**: the batch holds placement
   work per request but pushes ONE amortized configuration generation
   (``SdmTimings.config_generation_s``) for the whole batch — the
   classic control-plane throughput lever (``max_batch=1`` is the
   per-request baseline);
-* with **completion offload** (``offload=True``) a dispatcher worker
-  frees its slot as soon as every batch member's SDM-side reservation
-  has committed; the brick-side remainder (glue programming, kernel
+* with **brick-side completion offload** a dispatcher worker frees its
+  slot as soon as every batch member's SDM-side reservation has
+  committed; the brick-side remainder (glue programming, kernel
   attach, hypervisor) runs as a detached DES process with the agent's
   acknowledgement firing ``request.done`` — so worker count stops
   bounding throughput and the controller critical section is the only
   serialization left;
 * same-tenant requests are never reordered, even with several workers:
-  each request gates on its tenant's previous request completing;
-* an optional :class:`~repro.cluster.defrag.DefragmentationTask`
-  consolidates the memory pool during idle windows.
+  each request gates on its tenant's previous request completing.
+
+The plane owns no background task.  A caller that wants idle-window
+pool consolidation installs a
+:class:`~repro.cluster.defrag.DefragmentationTask` on the plane's
+context itself: ``task.install(plane.ctx, idle_probe=plane.is_idle)``.
 
 Latency, queue depth, utilization and fragmentation are collected in
 :class:`~repro.cluster.metrics.ControlPlaneStats`.
@@ -45,16 +47,20 @@ from repro.cluster.metrics import (
     RequestRecord,
     TimedSample,
 )
-from repro.cluster.trace import TenantSpec, TenantTrace, start_arrivals
+# The plane no longer uses the three F401 imports, but importing them
+# here keeps the order in which ``import repro`` initializes its modules,
+# and with it the garbage collector's phase when fedbench's parent forks
+# a serve (ROADMAP item 8).  Without them a full collection moves into
+# the serve set-up for about half of all hash seeds.
+from repro.cluster.trace import TenantSpec, TenantTrace, start_arrivals  # noqa: F401
 from repro.errors import OrchestrationError, ReproError
-from repro.orchestration.elasticity import ElasticMemoryManager
-from repro.orchestration.requests import VmAllocationRequest
+from repro.orchestration.elasticity import ElasticMemoryManager  # noqa: F401
+from repro.orchestration.requests import VmAllocationRequest  # noqa: F401
 from repro.sim.control import ControlContext
 from repro.sim.engine import Event, ProcessGenerator
 from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from repro.cluster.defrag import DefragmentationTask
     from repro.core.system import DisaggregatedSystem
 
 #: Request kinds whose configuration generation a batch amortizes.
@@ -89,7 +95,7 @@ class ClusterRequest:
     #: reservation work has committed (everything after is
     #: brick-side).  Pipelines that cannot commit early (their release
     #: comes last) fire it together with ``executed``.  This is what a
-    #: completion-offloading worker waits for before freeing its slot.
+    #: dispatcher worker waits for before freeing its slot.
     committed: Event = field(init=False, repr=False)
     #: The ``executed`` event of the same tenant's previous request,
     #: while this request has not yet waited on it.
@@ -105,9 +111,6 @@ class ControlPlane:
                  max_batch: int = 1,
                  batch_window_s: float = 0.0,
                  workers: int = 1,
-                 offload: bool = False,
-                 rebalance_interval_s: Optional[float] = None,
-                 defrag: Optional["DefragmentationTask"] = None,
                  ctx: Optional[ControlContext] = None) -> None:
         if max_batch < 1:
             raise OrchestrationError("max_batch must be >= 1")
@@ -119,10 +122,6 @@ class ControlPlane:
         self.max_batch = max_batch
         self.batch_window_s = batch_window_s
         self.workers = workers
-        #: Brick-side completion offload: a worker frees its slot once
-        #: the batch's reservations committed; the brick-side tail runs
-        #: detached (see the module docstring).
-        self.offload = offload
         #: Per-request mode keeps the single-threaded SDM-C semantics
         #: (config generated under the critical section, per request);
         #: only a real batch amortizes one push over its members.
@@ -146,21 +145,8 @@ class ControlPlane:
         #: already claimed work park on it, so a dead pod never reads
         #: as idle to the rebalancer/defragmenter.
         self._gate: Optional[Event] = None
-        #: Offloaded batches whose brick-side tail is still in flight.
+        #: Batches whose brick-side tail is still in flight.
         self._detached = 0
-
-        self.manager: Optional[ElasticMemoryManager] = None
-        self._rebalance_interval_s = rebalance_interval_s
-        if rebalance_interval_s is not None:
-            if rebalance_interval_s <= 0:
-                raise OrchestrationError(
-                    "rebalance interval must be positive")
-            self.manager = ElasticMemoryManager(system)
-            self.sim.process(self._rebalancer())
-
-        self.defrag = defrag
-        if defrag is not None:
-            defrag.install(self.ctx, idle_probe=self.is_idle)
 
         for index in range(workers):
             self.sim.process(self._worker(index))
@@ -283,41 +269,31 @@ class ControlPlane:
         # since each executes on its own brick.
         members = [self.sim.process(self._serve_one(request))
                    for request in batch]
-        if self.offload:
-            # Brick-side completion offload: hold the slot only until
-            # every member's reservation committed (plus the batch's
-            # amortized config push — that is controller work); the
-            # brick-side tail, ending in the agents' acknowledgement,
-            # runs detached.
-            yield self.sim.all_of([r.committed for r in batch])
-            # Push only when an amortizable member actually got past
-            # its reservation: a member still mid-pipeline committed
-            # via on_commit (reservation granted); one already executed
-            # must have succeeded.  All-rejected batches push nothing,
-            # matching the serial path's `record.ok` guard.
-            if self._amortize and any(
-                    r.kind in AMORTIZABLE_KINDS
-                    and (r.record.ok or not r.executed.triggered)
-                    for r in batch):
-                yield self.sim.timeout(
-                    self.system.sdm.timings.config_generation_s)
-            self._detached += 1
-            self.sim.process(self._finish_batch(batch, members))
-            return
-        yield self.sim.all_of(members)
-        if self._amortize and any(r.record.ok and r.kind in AMORTIZABLE_KINDS
-                                  for r in batch):
-            # One configuration push covers every placement in the
-            # batch (role d is a template instantiation; its cost does
-            # not scale with the number of segments in the push).
+        # Brick-side completion offload: hold the slot only until every
+        # member's reservation committed (plus the batch's amortized
+        # config push — that is controller work); the brick-side tail,
+        # ending in the agents' acknowledgement, runs detached.
+        yield self.sim.all_of([r.committed for r in batch])
+        # One configuration push covers every placement in the batch
+        # (role d is a template instantiation; its cost does not scale
+        # with the number of segments in the push).  Push only when an
+        # amortizable member actually got past its reservation: a
+        # member still mid-pipeline committed via on_commit
+        # (reservation granted); one already executed must have
+        # succeeded.  All-rejected batches push nothing.
+        if self._amortize and any(
+                r.kind in AMORTIZABLE_KINDS
+                and (r.record.ok or not r.executed.triggered)
+                for r in batch):
             yield self.sim.timeout(
                 self.system.sdm.timings.config_generation_s)
-        self._complete_batch(batch)
+        self._detached += 1
+        self.sim.process(self._finish_batch(batch, members))
 
     def _finish_batch(self, batch: list[ClusterRequest],
                       members: list[Event]) -> ProcessGenerator:
-        """Detached tail of an offloaded batch: wait for the brick-side
-        work (the modeled agent acknowledgement), then complete."""
+        """Detached tail of a batch: wait for the brick-side work (the
+        modeled agent acknowledgement), then complete."""
         try:
             yield self.sim.all_of(members)
             self._complete_batch(batch)
@@ -345,7 +321,7 @@ class ControlPlane:
         request.executed.succeed()
         # Pipelines whose controller work ends the pipeline (release-
         # last kinds) — and any rejected request — commit here at the
-        # latest, so an offloading worker never waits forever.
+        # latest, so a worker never waits forever.
         if not request.committed.triggered:
             request.committed.succeed()
 
@@ -521,107 +497,14 @@ class ControlPlane:
             t for t in impacted_before if t not in still_impacted)
         return moved, stranded
 
-    # -- tenant lifecycles --------------------------------------------------
-
-    def serve_trace(self, trace: TenantTrace) -> ControlPlaneStats:
-        """Drive every tenant lifecycle in *trace* to completion.
-
-        Runs the simulation until the last tenant departs (background
-        tasks keep their future events; the clock simply stops there)
-        and returns the collected statistics.
-        """
-        self.sim.run(until=start_arrivals(self.sim, trace, self._tenant))
-        self.stats.duration_s = self.sim.now
-        return self.stats
+    # -- unit-test helper ---------------------------------------------------
 
     def drain(self) -> ControlPlaneStats:
         """Run until all submitted work is served (unit-test helper).
 
-        Only valid without periodic background tasks (rebalancer /
-        defragmentation), whose timers would keep the heap non-empty
-        forever.
+        Never returns while a periodic task (a defragmentation pass
+        timer) shares the plane's clock: the event heap never empties.
         """
-        if self.manager is not None or self.defrag is not None:
-            raise OrchestrationError(
-                "drain() cannot terminate with periodic background "
-                "tasks installed; use serve_trace()")
         self.sim.run()
         self.stats.duration_s = self.sim.now
         return self.stats
-
-    def _tenant(self, spec: TenantSpec) -> ProcessGenerator:
-        boot = self.submit("boot", spec.tenant_id,
-                           request=VmAllocationRequest(
-                               vm_id=spec.tenant_id, vcpus=spec.vcpus,
-                               ram_bytes=spec.ram_bytes))
-        yield boot.done
-        if not boot.record.ok:
-            return
-        booted_at = self.sim.now
-        if self.manager is not None:
-            self.manager.manage(spec.tenant_id)
-            yield from self._demand_lifecycle(spec, booted_at)
-        else:
-            yield from self._explicit_lifecycle(spec, booted_at)
-        if spec.migrate_at_s is not None:
-            yield self.sim.timeout(max(
-                0.0, booted_at + spec.migrate_at_s - self.sim.now))
-            migrate = self.submit("migrate", spec.tenant_id)
-            yield migrate.done  # a rejected migration is not fatal
-        yield self.sim.timeout(max(
-            0.0, booted_at + spec.lifetime_s - self.sim.now))
-        if self.manager is not None:
-            self.manager.release(spec.tenant_id)
-        depart = self.submit("depart", spec.tenant_id)
-        yield depart.done
-
-    def _explicit_lifecycle(self, spec: TenantSpec,
-                            booted_at: float) -> ProcessGenerator:
-        """Scale events as explicit admission-queue requests."""
-        attached: list[str] = []
-        for event in spec.scale_events:
-            yield self.sim.timeout(max(
-                0.0, booted_at + event.at_s - self.sim.now))
-            if event.kind == "up":
-                request = self.submit("scale_up", spec.tenant_id,
-                                      size_bytes=event.size_bytes)
-                yield request.done
-                if request.record.ok:
-                    attached.append(request.result.segment.segment_id)
-            elif attached:
-                request = self.submit("scale_down", spec.tenant_id,
-                                      segment_id=attached.pop())
-                yield request.done
-
-    def _demand_lifecycle(self, spec: TenantSpec,
-                          booted_at: float) -> ProcessGenerator:
-        """Scale events as demand reports; the rebalancer does the work."""
-        demand = spec.ram_bytes
-        for event in spec.scale_events:
-            yield self.sim.timeout(max(
-                0.0, booted_at + event.at_s - self.sim.now))
-            if event.kind == "up":
-                demand += event.size_bytes
-            else:
-                demand = max(spec.ram_bytes, demand - event.size_bytes)
-            if spec.tenant_id in (self.manager.managed_vms
-                                  if self.manager else ()):
-                self.manager.set_demand(spec.tenant_id, demand)
-
-    def _rebalancer(self) -> ProcessGenerator:
-        """Periodic :meth:`ElasticMemoryManager.rebalance` pass, holding
-        the SDM-C reservation scope (every shard, on a sharded
-        controller — the pass may touch the whole pool) for its
-        reservation work."""
-        while True:
-            yield self.sim.timeout(self._rebalance_interval_s)
-            if self.manager is None or not self.manager.managed_vms:
-                continue
-            token = yield from self.system.sdm.reserve_scope(
-                self.ctx, "rebalance")
-            try:
-                report = self.manager.rebalance()
-                yield self.sim.timeout(report.total_latency_s)
-            finally:
-                self.system.sdm.release_scope(token)
-            self.stats.rebalance_passes += 1

@@ -72,7 +72,6 @@ class ControlPlaneStats:
     records: list[RequestRecord] = field(default_factory=list)
     queue_depth_samples: list[TimedSample] = field(default_factory=list)
     fragmentation_samples: list[TimedSample] = field(default_factory=list)
-    rebalance_passes: int = 0
     busy_s: float = 0.0
     duration_s: float = 0.0
     worker_count: int = 1

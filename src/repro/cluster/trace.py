@@ -22,12 +22,12 @@ Measured arrival processes are supported too: :class:`ReplayTrace`
 loads the Azure/Google public cluster-trace column shape (VM id,
 arrival time, lifetime, memory size — header synonyms of both formats
 are recognized) from a CSV and yields the same
-:class:`TenantSpec` stream as the generators, so the control plane can
-be exercised against real logs with no other code change.
+:class:`TenantSpec` stream as the generators, so a federation can
+replay real logs with no other code change.
 
 :func:`start_arrivals` turns a trace into offered load on a simulator:
-every ``serve_trace`` (the pod control plane and both federation
-backends) starts its tenant lifecycles through it.
+the ``serve_trace`` of both federation backends starts its tenant
+lifecycles through it.
 """
 
 from __future__ import annotations
@@ -130,7 +130,9 @@ def start_arrivals(sim: Simulator, trace: TenantTrace,
 
     Returns an event that succeeds, with no value, once every
     lifecycle has ended, or fails with the first exception a lifecycle
-    raises, at the time it raises.
+    raises, at the time it raises.  Both federation backends'
+    ``serve_trace`` run :meth:`~repro.federation.controller.Federation.
+    _tenant` through it; the pod control plane runs no lifecycle.
     """
     tenants = trace.tenants
     start_s = sim.now

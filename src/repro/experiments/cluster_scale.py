@@ -247,8 +247,7 @@ def _run_cell(rack_count: int, shard_count: int, rate_hz: float,
         system,
         max_batch=BATCH_SIZE if batched else 1,
         batch_window_s=BATCH_WINDOW_S if batched else 0.0,
-        workers=WORKER_COUNT,
-        offload=True)
+        workers=WORKER_COUNT)
 
     rng = RngRegistry(seed).stream(
         f"cluster_scale.r{rack_count}.s{shard_count}"

@@ -222,7 +222,7 @@ def _run_admission(seed: int) -> tuple[int, float, int, str]:
     vm_ids = _boot_population(system, vm_count=64 * ADMISSION_RACKS)
     plane = ControlPlane(
         system, max_batch=BATCH_SIZE, batch_window_s=BATCH_WINDOW_S,
-        workers=WORKER_COUNT, offload=True)
+        workers=WORKER_COUNT)
 
     rng = RngRegistry(seed).stream(
         f"kernel_bench.admission.a{ADMISSION_RATE_HZ:g}")

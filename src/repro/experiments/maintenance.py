@@ -32,7 +32,7 @@ from typing import Optional
 
 from repro.analysis.tables import render_table
 from repro.cluster.trace import poisson_trace
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FaultError
 from repro.experiments.availability import (
     ARRIVAL_RATE_HZ,
     POD_COUNT,
@@ -348,7 +348,10 @@ def run_maintenance(seed: int = 2018,
             f"unknown domain set {domain_set!r}; known: "
             f"{', '.join(DOMAIN_SETS)}")
     kinds = None if domain_set == "both" else (domain_set,)
-    hazard_fn = coerce_hazard(hazard) if hazard is not None else None
+    try:
+        hazard_fn = coerce_hazard(hazard) if hazard is not None else None
+    except FaultError as exc:
+        raise ConfigurationError(f"hazard: {exc}") from None
 
     # The drain schedule is the spec's; a drain axis (or a spec with no
     # windows) replaces it with a single drain of the named pod.

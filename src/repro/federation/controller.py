@@ -82,6 +82,9 @@ from repro.units import gbps, gib, mib
 #: between them, not an optical circuit).
 DEFAULT_INTERPOD_LINK_BPS = gbps(100)
 
+#: Dispatcher workers of every pod's control plane, on both backends.
+PLANE_WORKERS = 8
+
 
 @dataclass
 class FederatedPod:
@@ -348,9 +351,7 @@ class FederationController(Federation):
                  interpod_link_bps: float = DEFAULT_INTERPOD_LINK_BPS,
                  rebalancer: Optional[FederationRebalancer] = None,
                  max_batch: int = 4,
-                 batch_window_s: float = 0.001,
-                 workers: int = 8,
-                 offload: bool = True) -> None:
+                 batch_window_s: float = 0.001) -> None:
         if not systems:
             raise FederationError("a federation needs at least one pod")
         ids = list(pod_ids) if pod_ids is not None else [
@@ -367,7 +368,7 @@ class FederationController(Federation):
             plane = ControlPlane(
                 system, ctx=ControlContext(sim=sim),
                 max_batch=max_batch, batch_window_s=batch_window_s,
-                workers=workers, offload=offload)
+                workers=PLANE_WORKERS)
             pods[pod_id] = FederatedPod(pod_id, system, plane)
         super().__init__(sim, pods, placer=placer,
                          interpod_link_bps=interpod_link_bps,
@@ -605,8 +606,6 @@ def build_federation(pod_count: int, *,
                      interpod_link_bps: float = DEFAULT_INTERPOD_LINK_BPS,
                      max_batch: int = 4,
                      batch_window_s: float = 0.001,
-                     workers: int = 8,
-                     offload: bool = True,
                      **hardware) -> FederationController:
     """Assemble N identically-built pods (:func:`build_pod_system`,
     which takes the *hardware* keywords) under one serial federation."""
@@ -619,5 +618,4 @@ def build_federation(pod_count: int, *,
         placer=GlobalPlacer(spill_policy, scoring=scoring,
                             anti_affinity=anti_affinity),
         interpod_link_bps=interpod_link_bps, rebalancer=rebalancer,
-        max_batch=max_batch, batch_window_s=batch_window_s,
-        workers=workers, offload=offload)
+        max_batch=max_batch, batch_window_s=batch_window_s)

@@ -61,6 +61,7 @@ from repro.cluster.trace import TenantSpec, TenantTrace, start_arrivals
 from repro.errors import FederationError, OrchestrationError, ParallelSimError
 from repro.federation.controller import (
     DEFAULT_INTERPOD_LINK_BPS,
+    PLANE_WORKERS,
     Federation,
     FederationStats,
     build_pod_system,
@@ -124,15 +125,14 @@ class PodLP:
     """
 
     def __init__(self, pod_id: str, system, *, lookahead_s: float,
-                 max_batch: int = 4, batch_window_s: float = 0.001,
-                 plane_workers: int = 8, offload: bool = True) -> None:
+                 max_batch: int = 4, batch_window_s: float = 0.001) -> None:
         self.lp_id = pod_id
         self.sim = Simulator()
         self.system = system
         self.plane = ControlPlane(
             system, ctx=ControlContext(sim=self.sim),
             max_batch=max_batch, batch_window_s=batch_window_s,
-            workers=plane_workers, offload=offload)
+            workers=PLANE_WORKERS)
         self.lookahead_s = lookahead_s
         self._outbox: list[WireMessage] = []
         self._seq = 0
@@ -252,8 +252,6 @@ def build_pod_lps(*, pod_count: int,
                   lookahead_s: float = DEFAULT_SYNC_WINDOW_S,
                   max_batch: int = 4,
                   batch_window_s: float = 0.001,
-                  plane_workers: int = 8,
-                  offload: bool = True,
                   **hardware) -> list[PodLP]:
     """Spawn-safe pod-LP factory: module-level, all-kwargs, builds the
     systems *inside* the calling process (each worker constructs its
@@ -262,8 +260,7 @@ def build_pod_lps(*, pod_count: int,
     the *hardware* keywords."""
     return [PodLP(f"pod{index}", build_pod_system(index, **hardware),
                   lookahead_s=lookahead_s, max_batch=max_batch,
-                  batch_window_s=batch_window_s,
-                  plane_workers=plane_workers, offload=offload)
+                  batch_window_s=batch_window_s)
             for index in range(pod_count)]
 
 
@@ -549,8 +546,6 @@ def build_parallel_federation(pod_count: int, *,
                               DEFAULT_INTERPOD_LINK_BPS,
                               max_batch: int = 4,
                               batch_window_s: float = 0.001,
-                              plane_workers: int = 8,
-                              offload: bool = True,
                               start_method: str = "spawn",
                               **hardware) -> ParallelFederationController:
     """Assemble N identically-built pods (the *hardware* keywords of
@@ -560,9 +555,8 @@ def build_parallel_federation(pod_count: int, *,
     ``workers=0`` runs every pod inline in this process (the serial
     backend — same barrier schedule, zero IPC); ``workers>=1`` spreads
     the pods round-robin over that many spawn-started OS processes.
-    ``plane_workers`` is each pod's *dispatcher* worker count (the
-    control-plane concurrency knob, unchanged from the serial
-    federation) — not to be confused with ``workers``.
+    Each pod's control plane runs :data:`~repro.federation.controller.
+    PLANE_WORKERS` dispatcher workers, as on the serial backend.
     """
     if pod_count < 1:
         raise FederationError("a federation needs at least one pod")
@@ -572,7 +566,7 @@ def build_parallel_federation(pod_count: int, *,
         pod_ids = fleet.build(
             build_pod_lps, pod_count=pod_count, lookahead_s=sync_window_s,
             max_batch=max_batch, batch_window_s=batch_window_s,
-            plane_workers=plane_workers, offload=offload, **hardware)
+            **hardware)
         return ParallelFederationController(
             fleet, pod_ids,
             placer=GlobalPlacer(spill_policy, scoring=scoring,

@@ -8,6 +8,7 @@ from repro.cluster.control_plane import ControlPlane
 from repro.cluster.trace import ScaleEvent, TenantSpec, TenantTrace
 from repro.core.builder import RackBuilder
 from repro.errors import OrchestrationError
+from repro.federation.controller import FederationController
 from repro.units import gib, mib
 
 
@@ -16,6 +17,14 @@ def build_system(compute=2, memory=2):
             .with_compute_bricks(compute, cores=16, local_memory=gib(4))
             .with_memory_bricks(memory, modules=4, module_size=gib(8))
             .build())
+
+
+def serve(federation, specs):
+    """Serve *specs* through a one-pod federation; returns the pod
+    plane's stats."""
+    stats = federation.serve_trace(TenantTrace("unit", specs))
+    (plane_stats,) = stats.pod_stats.values()
+    return plane_stats
 
 
 def boot_vm(plane, vm_id="vm-0", vcpus=2, ram=gib(1)):
@@ -60,11 +69,6 @@ class TestAdmission:
         depths = [s.value for s in plane.stats.queue_depth_samples]
         # All four submitted at t=0 with one worker: backlog visible.
         assert max(depths) >= 2
-
-    def test_drain_refused_with_background_tasks(self):
-        plane = ControlPlane(build_system(), rebalance_interval_s=0.5)
-        with pytest.raises(OrchestrationError, match="background"):
-            plane.drain()
 
 
 class TestBatching:
@@ -124,32 +128,30 @@ class TestBatching:
 
 
 class TestCompletionOffload:
-    def _scale_pair_makespan(self, offload):
+    def _scale_pair(self):
         """Two tenants' scale-ups through a single-worker plane."""
         system = build_system()
         for index in range(2):
             from repro.orchestration.requests import VmAllocationRequest
             system.boot_vm(VmAllocationRequest(
                 vm_id=f"vm-{index}", vcpus=2, ram_bytes=mib(512)))
-        plane = ControlPlane(system, workers=1, offload=offload)
+        plane = ControlPlane(system, workers=1)
         requests = [plane.submit("scale_up", f"vm-{index}",
                                  size_bytes=mib(256))
                     for index in range(2)]
         plane.drain()
         assert all(r.record.ok for r in requests)
-        return requests, max(r.record.completed_s for r in requests)
+        return requests
 
     def test_worker_freed_at_commit_overlaps_brick_side(self):
-        # With one worker, the serial plane fully serializes the two
-        # pipelines; the offloading plane frees the worker once the
-        # first reservation commits, so the second request's brick-side
-        # phase overlaps the first's detached acknowledgement.
-        _requests, serial = self._scale_pair_makespan(offload=False)
-        _requests, offloaded = self._scale_pair_makespan(offload=True)
-        assert offloaded < serial
+        # The only worker is freed once the first reservation commits,
+        # so the second request starts while the first's brick-side
+        # phase (its detached acknowledgement) is still running.
+        first, second = self._scale_pair()
+        assert second.record.started_s < first.record.completed_s
 
     def test_done_still_fires_at_full_completion(self):
-        requests, _makespan = self._scale_pair_makespan(offload=True)
+        requests = self._scale_pair()
         for request in requests:
             # committed (reservation) strictly precedes the brick-side
             # acknowledgement that completes the request...
@@ -161,7 +163,7 @@ class TestCompletionOffload:
 
     def test_release_last_kind_commits_at_execution(self):
         system = build_system()
-        plane = ControlPlane(system, workers=1, offload=True)
+        plane = ControlPlane(system, workers=1)
         boot = boot_vm(plane, "vm-0", vcpus=2, ram=mib(512))
 
         def driver():
@@ -177,35 +179,35 @@ class TestCompletionOffload:
 
 class TestLifecycles:
     def test_full_lifecycle_trace(self):
-        plane = ControlPlane(build_system(), max_batch=4,
-                             batch_window_s=0.001)
+        system = build_system()
         spec = TenantSpec(
             tenant_id="tenant-0", arrival_s=0.0, vcpus=2,
             ram_bytes=gib(1), lifetime_s=3.0,
             scale_events=(ScaleEvent(0.5, "up", gib(1)),
                           ScaleEvent(1.5, "down", gib(1))),
             migrate_at_s=2.0)
-        stats = plane.serve_trace(TenantTrace("unit", [spec]))
+        stats = serve(FederationController([system]), [spec])
         kinds = {r.kind for r in stats.completed()}
         assert kinds == {"boot", "scale_up", "scale_down",
                          "migrate", "depart"}
         # Everything wound down: no VMs, no segments, no leaks.
-        assert plane.system.vms == []
-        assert plane.system.sdm.live_segments == []
+        assert system.vms == []
+        assert system.sdm.live_segments == []
 
     def test_migration_moved_the_vm(self):
-        plane = ControlPlane(build_system(compute=2))
+        system = build_system(compute=2)
+        federation = FederationController([system])
         spec = TenantSpec(
             tenant_id="tenant-0", arrival_s=0.0, vcpus=2,
             ram_bytes=gib(1), lifetime_s=2.0, migrate_at_s=0.5)
         bricks = []
 
         def spy():
-            yield plane.sim.timeout(1.2)
-            bricks.append(plane.system.hosting("tenant-0").brick_id)
+            yield federation.sim.timeout(1.2)
+            bricks.append(system.hosting("tenant-0").brick_id)
 
-        plane.sim.process(spy())
-        stats = plane.serve_trace(TenantTrace("unit", [spec]))
+        federation.sim.process(spy())
+        stats = serve(federation, [spec])
         migrations = stats.completed("migrate")
         assert len(migrations) == 1
         report = next(r for r in stats.records
@@ -213,33 +215,18 @@ class TestLifecycles:
         assert report.ok
 
     def test_rejected_tenant_stops_its_lifecycle(self):
-        plane = ControlPlane(build_system())
         specs = [TenantSpec(f"t{i}", 0.0, vcpus=99, ram_bytes=gib(1),
                             lifetime_s=1.0) for i in range(3)]
-        stats = plane.serve_trace(TenantTrace("unit", specs))
+        stats = serve(FederationController([build_system()]), specs)
         assert len(stats.rejected("boot")) == 3
         assert stats.completed("depart") == []
-
-    def test_elastic_manager_lifecycle(self):
-        plane = ControlPlane(build_system(), rebalance_interval_s=0.25)
-        spec = TenantSpec(
-            tenant_id="tenant-0", arrival_s=0.0, vcpus=2,
-            ram_bytes=gib(1), lifetime_s=3.0,
-            scale_events=(ScaleEvent(0.5, "up", gib(2)),
-                          ScaleEvent(2.0, "down", gib(2))))
-        stats = plane.serve_trace(TenantTrace("unit", [spec]))
-        # Demand went through the rebalancer, not the admission queue.
-        assert stats.completed("scale_up") == []
-        assert stats.rebalance_passes >= 1
-        assert plane.system.vms == []
 
 
 class TestUtilizationAndFragmentation:
     def test_stats_populated(self):
-        plane = ControlPlane(build_system())
         spec = TenantSpec("tenant-0", 0.0, vcpus=2, ram_bytes=gib(6),
                           lifetime_s=1.0)
-        stats = plane.serve_trace(TenantTrace("unit", [spec]))
+        stats = serve(FederationController([build_system()]), [spec])
         assert stats.duration_s > 0
         assert 0 < stats.utilization <= 1
         assert stats.fragmentation_samples

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.control_plane import ControlPlane
 from repro.cluster.defrag import DefragmentationTask
 from repro.cluster.trace import TenantSpec, TenantTrace
 from repro.core.builder import RackBuilder
 from repro.errors import ReproError
+from repro.federation.controller import FederationController
 from repro.units import gib
 
 
@@ -214,11 +214,13 @@ class TestInControlPlane:
         system = build_system()
         task = DefragmentationTask(system, interval_s=0.1,
                                    max_relocations_per_pass=4)
-        plane = ControlPlane(system, defrag=task)
+        federation = FederationController([system])
+        (pod,) = federation.pods.values()
+        task.install(pod.plane.ctx, idle_probe=pod.plane.is_idle)
         # Two tenants spread over the pool, then a long idle tail.
         specs = [
             TenantSpec(f"tenant-{i}", arrival_s=0.1 * i, vcpus=2,
                        ram_bytes=gib(10), lifetime_s=3.0)
             for i in range(2)]
-        plane.serve_trace(TenantTrace("defrag", specs))
+        federation.serve_trace(TenantTrace("defrag", specs))
         assert task.report.passes > 0

@@ -2,16 +2,16 @@
 
 Boot / scale / migrate / depart traffic over a :class:`PodFabric`
 (circuits may span the inter-rack switch tier), served by the batched
-event-driven control plane with background defragmentation — the full
-PR-3 stack in one test.
+event-driven control plane of a one-pod federation with background
+defragmentation — the whole pod stack in one test.
 """
 
 from __future__ import annotations
 
-from repro.cluster.control_plane import ControlPlane
 from repro.cluster.defrag import DefragmentationTask
 from repro.cluster.trace import poisson_trace
 from repro.core.builder import PodBuilder
+from repro.federation.controller import FederationController
 from repro.units import gib
 
 
@@ -31,9 +31,10 @@ def test_two_rack_pod_under_load():
         migrate_fraction=0.3, seed=7)
     task = DefragmentationTask(system, interval_s=0.2,
                                max_relocations_per_pass=2)
-    plane = ControlPlane(system, max_batch=4, batch_window_s=0.001,
-                         workers=4, defrag=task)
-    stats = plane.serve_trace(trace)
+    federation = FederationController([system])
+    (pod,) = federation.pods.values()
+    task.install(pod.plane.ctx, idle_probe=pod.plane.is_idle)
+    (stats,) = federation.serve_trace(trace).pod_stats.values()
 
     # The pod served real multi-tenant load end to end.
     boots = stats.completed("boot")
@@ -69,20 +70,20 @@ def test_cross_rack_circuits_were_used():
     trace = poisson_trace(
         16, arrival_rate_hz=30.0, vcpus=2, ram_bytes=gib(6),
         mean_lifetime_s=5.0, scale_fraction=0.0, seed=11)
-    plane = ControlPlane(system, max_batch=4, workers=4)
+    federation = FederationController([system])
 
     crossings = []
 
     def probe():
-        yield plane.sim.timeout(4.0)
+        yield federation.sim.timeout(4.0)
         for segment in system.sdm.live_segments:
             record = system.sdm.segment_record(segment.segment_id)
             hop_path = record.circuit.hop_path
             if hop_path is not None and hop_path.crosses_racks:
                 crossings.append(segment.segment_id)
 
-    plane.sim.process(probe())
-    plane.serve_trace(trace)
+    federation.sim.process(probe())
+    federation.serve_trace(trace)
     # Demand (16 x 6 GiB > one rack's 32 GiB pool) forced the SDM-C to
     # place segments behind the second switch tier.
     assert crossings

@@ -233,14 +233,14 @@ class TestReplayTrace:
             ReplayTrace.from_csv(path)
 
     def test_replay_drives_the_control_plane(self):
-        from repro.cluster.control_plane import ControlPlane
         from repro.core.builder import RackBuilder
+        from repro.federation.controller import FederationController
 
         system = (RackBuilder("replay")
                   .with_compute_bricks(2, cores=16, local_memory=gib(4))
                   .with_memory_bricks(2, modules=2, module_size=gib(16))
                   .build())
-        plane = ControlPlane(system, workers=4)
+        federation = FederationController([system])
         # Compress the measured timeline so the test stays fast.
         raw = ReplayTrace.from_csv(AZURE_FIXTURE)
         trace = TenantTrace(name="replay", tenants=[
@@ -249,7 +249,7 @@ class TestReplayTrace:
                        vcpus=t.vcpus, ram_bytes=t.ram_bytes,
                        lifetime_s=t.lifetime_s / 1000.0)
             for t in raw.tenants])
-        stats = plane.serve_trace(trace)
+        (stats,) = federation.serve_trace(trace).pod_stats.values()
         assert len(stats.completed("boot")) == len(trace)
         assert len(stats.completed("depart")) == len(trace)
         assert system.vms == []

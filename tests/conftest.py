@@ -1,8 +1,16 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and its hypothesis profiles.
+
+The tier-1 gate runs the ``gate`` profile: examples are derived from
+each test, not drawn at random, and no example database is read or
+written, so two runs check the same examples.  ``search`` draws fresh
+random examples; select it with ``--hypothesis-profile=search``.
+Neither profile changes any test's ``max_examples``.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.builder import RackBuilder
 from repro.hardware.bricks import ComputeBrick, MemoryBrick
@@ -10,6 +18,10 @@ from repro.network.optical.topology import OpticalFabric
 from repro.orchestration.requests import VmAllocationRequest
 from repro.sim.engine import Simulator
 from repro.units import gib
+
+settings.register_profile("gate", derandomize=True, database=None)
+settings.register_profile("search", derandomize=False)
+settings.load_profile("gate")
 
 
 @pytest.fixture

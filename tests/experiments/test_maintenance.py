@@ -83,8 +83,8 @@ class TestAxes:
             run_maintenance(domains="blast-radius")
 
     def test_malformed_hazard_rejected(self):
-        from repro.errors import FaultError
-        with pytest.raises(FaultError):
+        from repro.errors import ConfigurationError
+        with pytest.raises(ConfigurationError, match="unknown hazard kind"):
             run_maintenance(hazard="bathtub:1:2")
 
 

@@ -241,6 +241,10 @@ class TestCli:
          "replica_groups needs groups of >= 2"),
         (["run", "availability", "--set", "mtbf=0"],
          "mtbf must be positive"),
+        (["run", "maintenance", "--set", "hazard=bathtub:1:2"],
+         "hazard: unknown hazard kind 'bathtub'"),
+        (["run", "maintenance", "--set", "hazard=weibull:-1:2"],
+         "hazard: Weibull scale must be positive"),
     ])
     def test_bad_input_exits_2_with_one_line(self, capsys, argv,
                                              message):

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.control_plane import ControlPlane
 from repro.cluster.trace import TenantSpec, TenantTrace, poisson_trace
-from repro.core.builder import RackBuilder
 from repro.federation.controller import build_federation
 from repro.federation.parallel import build_parallel_federation
 from repro.units import gib
@@ -38,15 +36,6 @@ def _second_boot(records) -> float:
 def test_serial_federation_boots_at_the_exact_arrival():
     stats = build_federation(2).serve_trace(_two_tenants())
     assert _second_boot(stats.admission_records) == SECOND_S
-
-
-def test_control_plane_boots_at_the_exact_arrival():
-    system = (RackBuilder("exact")
-              .with_compute_bricks(2, cores=16, local_memory=gib(4))
-              .with_memory_bricks(1, modules=2, module_size=gib(8))
-              .build())
-    stats = ControlPlane(system).serve_trace(_two_tenants())
-    assert _second_boot(stats.records) == SECOND_S
 
 
 @pytest.mark.parametrize("workers", [None, 0],

@@ -1,12 +1,12 @@
 """A serve's memory follows the tenants in flight, not the trace length.
 
-Each ``serve_trace`` — the serial federation, the parallel federation
-on its in-process fleet, and a single pod's control plane — serves a
-short trace and one four times longer at the same arrival rate.  The
-pending-event queue and the requests left alive must not grow with
-the longer trace, the serve must leave no cyclic garbage (every
-finished request is freed by reference counting alone), and no tenant
-may keep a tail once its last request has executed.
+Each ``serve_trace`` — the serial federation and the parallel
+federation on its in-process fleet — serves a short trace and one
+four times longer at the same arrival rate.  The pending-event queue
+and the requests left alive must not grow with the longer trace, the
+serve must leave no cyclic garbage (every finished request is freed
+by reference counting alone), and no tenant may keep a tail once its
+last request has executed.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.cluster.control_plane import ClusterRequest, ControlPlane
+from repro.cluster.control_plane import ClusterRequest
 from repro.cluster.trace import TenantTrace, poisson_trace
-from repro.core.builder import RackBuilder
 from repro.federation.controller import build_federation
 from repro.federation.parallel import (
     DEFAULT_SYNC_WINDOW_S,
@@ -78,17 +77,6 @@ def _parallel(trace):
             [lp.plane for lp in lps])
 
 
-def _plane(trace):
-    system = (RackBuilder("memory")
-              .with_compute_bricks(2, cores=16, local_memory=gib(4))
-              .with_memory_bricks(2, modules=4, module_size=gib(8))
-              .build())
-    plane = ControlPlane(system, max_batch=4, batch_window_s=0.001,
-                         workers=8, offload=True)
-    plane.serve_trace(trace)
-    return plane, [plane.sim], [plane]
-
-
 def _footprint(serve, tenants: int) -> ServeFootprint:
     trace = _trace(tenants)
     gc.collect()
@@ -107,8 +95,8 @@ def _footprint(serve, tenants: int) -> ServeFootprint:
         cyclic_garbage=garbage, tails=tails)
 
 
-@pytest.mark.parametrize("serve", [_serial, _parallel, _plane],
-                         ids=["serial", "inline-parallel", "control-plane"])
+@pytest.mark.parametrize("serve", [_serial, _parallel],
+                         ids=["serial", "inline-parallel"])
 def test_serve_memory_does_not_grow_with_trace_length(serve):
     short = _footprint(serve, SHORT_TENANTS)
     long = _footprint(serve, LONG_TENANTS)
