@@ -11,6 +11,7 @@ re-record them.
 
 from __future__ import annotations
 
+import hashlib
 import zlib
 
 import pytest
@@ -87,4 +88,135 @@ def test_migration_and_heal_paths_match_golden_fingerprint(case):
     assert stats.migrations >= 1
     if heal:
         assert stats.readmissions >= 1
+    assert federation_fingerprint(stats) == digest
+
+
+#: Scripted outages of the evacuation pins, one pod each.  Each cuts a
+#: component while its pod holds segments the self-healing reaction can
+#: move: the memory brick's own segments, segments on the cut-off rack
+#: held by VMs outside it, and segments that cross the pod switch.
+EVACUATION_FAULTS = (
+    ScriptedFault(2.0, FaultClass.MEMORY_BRICK, "pod1:pod1.rack0.mb0", 3.0),
+    ScriptedFault(16.0, FaultClass.SWITCH, "pod0", 3.0),
+    ScriptedFault(17.0, FaultClass.RACK_UPLINK, "pod2:pod2.rack1", 3.0),
+)
+
+#: Fault target -> the tenants its self-healing reaction recovered.
+EVACUATION_HEALED = {
+    "pod1:pod1.rack0.mb0": ("golden-t00010", "golden-t00014",
+                            "golden-t00016"),
+    "pod0": ("golden-t00008", "golden-t00132"),
+    "pod2:pod2.rack1": ("golden-t00050", "golden-t00103", "golden-t00134"),
+}
+
+#: Digest of the segments still placed after the serve: tenants whose
+#: depart failed leave theirs behind, some of them moved by a heal.
+FINAL_PLACEMENT = (
+    "1e2c92408a3e6e966cb2eba040f5d0bec9829c9b7b6319dd023fbb216165c0ad")
+
+#: Case id -> (drain start, drained rack of pod1 or ``None`` for a
+#: drain of the whole pod, expected fingerprint, expected digests of the
+#: segment placement when the drain returns and after the serve,
+#: expected ``DrainReport`` counters).
+GOLDEN_EVACUATIONS = {
+    "pod-drain": (
+        23.0, None,
+        "d8866e5575bca9032f7071aacf343b19a6e86609ab0e379cb6837b47efa8276b",
+        ("b692fdccb5d82ac5ad6fae4f3925c651b61db6382529baba14dca7d68f105e49",
+         FINAL_PLACEMENT),
+        (False, True, 3, 7516192768, 1, 0, 0, ("pod1.rack0",))),
+    "rack-drain": (
+        24.0, "pod1.rack0",
+        "406abbbfb9b1f666c302f93279feba5e9cd080354f7317f0c67de2d924a6be2c",
+        ("146e4b72ff195620e860f9f2560433896c22719b0daf72569d49bb7bc055952d",
+         FINAL_PLACEMENT),
+        (True, False, 3, 5368709120, 1, 0, 0, ("pod1.rack0",))),
+}
+
+
+def _record_relocations(federation) -> list:
+    """Wrap every pod controller's ``relocate_segment_process`` so each
+    completed move is noted as ``(time, pod, source brick, target
+    brick)``.  The wrapper delegates with ``yield from`` and adds no
+    event, so the serve it observes is unchanged."""
+    moves = []
+    for pod_id, pod in federation.pods.items():
+        sdm = pod.system.sdm
+        relocate = sdm.relocate_segment_process
+
+        def recorded(ctx, segment_id, target, *args, _relocate=relocate,
+                     _sdm=sdm, _pod_id=pod_id, **kwargs):
+            source = _sdm.segment_record(segment_id).segment.memory_brick_id
+            result = yield from _relocate(ctx, segment_id, target,
+                                          *args, **kwargs)
+            moves.append((federation.sim.now, _pod_id, source, target))
+            return result
+        sdm.relocate_segment_process = recorded
+    return moves
+
+
+def _placement_digest(federation) -> str:
+    """Digest of every live segment's ``(pod, segment, memory brick,
+    compute brick, offset)``."""
+    rows = sorted(
+        (pod_id, s.segment_id, s.memory_brick_id, s.compute_brick_id,
+         s.offset)
+        for pod_id, pod in federation.pods.items()
+        for s in pod.system.sdm.live_segments)
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+
+
+def _moved_during(moves, pod_id: str, fault: ScriptedFault) -> list:
+    """``(source, target)`` of the moves in *pod_id* while *fault* held."""
+    return [(source, target) for now, pod, source, target in moves
+            if pod == pod_id
+            and fault.at_s <= now < fault.at_s + fault.duration_s]
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_EVACUATIONS))
+def test_evacuation_paths_match_golden_fingerprint(case):
+    drain_at, rack, digest, placements, counters = GOLDEN_EVACUATIONS[case]
+    compiled = compile_spec("M")
+    federation = compiled.federation
+    sim = federation.sim
+    moves = _record_relocations(federation)
+    injector = FaultInjector(federation, classes=(),
+                             plan=FaultPlan(EVACUATION_FAULTS),
+                             self_heal=True).install()
+    supervisor = compiled.supervisor(injector)
+    reports, drained = [], []
+
+    def drain():
+        yield sim.timeout(drain_at)
+        if rack is None:
+            report = yield from supervisor.drain_pod_process("pod1")
+        else:
+            report = yield from supervisor.drain_rack_process("pod1", rack)
+        reports.append(report)
+        drained.append(_placement_digest(federation))
+
+    sim.process(drain())
+    stats = federation.serve_trace(_trace(), home_of=_skewed)
+    sim.run(until=sim.now + 10.0)
+
+    # The pin must keep covering every evacuation path it names.
+    memory, switch, uplink = EVACUATION_FAULTS
+    rack_of = {pod_id: pod.system.sdm.registry.rack_of
+               for pod_id, pod in federation.pods.items()}
+    assert any(source == "pod1.rack0.mb0"
+               for source, _ in _moved_during(moves, "pod1", memory))
+    assert any(rack_of["pod0"](source) != rack_of["pod0"](target)
+               for source, target in _moved_during(moves, "pod0", switch))
+    assert any(rack_of["pod2"](source) == "pod2.rack1"
+               for source, _ in _moved_during(moves, "pod2", uplink))
+    (report,) = reports
+    assert report.segments_moved >= 1
+
+    assert {event.target: event.healed_tenants
+            for event in injector.metrics.events} == EVACUATION_HEALED
+    assert (report.committed, report.aborted, report.segments_moved,
+            report.bytes_moved, report.tenants_migrated,
+            report.rollback_moves, report.verify_failures,
+            tuple(report.racks_retired)) == counters
+    assert (drained[0], _placement_digest(federation)) == placements
     assert federation_fingerprint(stats) == digest
