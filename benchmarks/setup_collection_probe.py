@@ -17,9 +17,13 @@ For each workload (default: every fedbench workload) and each
 ``BENCHMARK.json`` read included — with ``measure`` replaced by one
 ``FederationRun`` set-up (seed 1, part 0) in place of the forked serves.
 A ``gc.callbacks`` hook notes whether a generation-2 collection starts
-during that set-up.  The probe prints, per workload, how many hash seeds
-ran one and the ``gc.get_count()`` values at the fork point (the entry
-of the replaced ``measure``).
+during that set-up.  The probe prints, per workload, how many and which
+hash seeds ran one and the ``gc.get_count()`` values at the fork point
+(the entry of the replaced ``measure``).  To see a trip on the benchmark
+itself, rerun a listed seed, e.g.
+``PYTHONHASHSEED=3 python3 fedbench/run.py --workload hotspot_M --seed 1
+--seconds 1``: its ``setup_s_unscaled`` reads tens of milliseconds
+above the other seeds'.
 
 Every process runs in this checkout with the caller's environment and
 ``-B``: it reads the bytecode caches that exist and writes none, and the
@@ -114,17 +118,20 @@ def main(argv: list[str]) -> int:
         results = str(Path(workdir) / "results.jsonl")
         try:
             for workload in argv or sorted(WORKLOADS):
-                hit = 0
+                tripped: list[int] = []
                 counts: collections.Counter = collections.Counter()
                 for seed in HASH_SEEDS:
                     reading = probe(workload, seed, results)
-                    hit += reading["full_collections"] > 0
+                    if reading["full_collections"]:
+                        tripped.append(seed)
                     counts[tuple(reading["fork_count"])] += 1
                 forks = ", ".join(f"{count} x{n}"
                                   for count, n in sorted(counts.items()))
-                print(f"{workload}: {hit}/{len(HASH_SEEDS)} hash seeds ran a "
-                      f"full collection during set-up; gc.get_count() at "
-                      f"the fork point: {forks}", flush=True)
+                seeds = ", ".join(map(str, tripped)) or "none"
+                print(f"{workload}: {len(tripped)}/{len(HASH_SEEDS)} hash "
+                      f"seeds ran a full collection during set-up "
+                      f"(PYTHONHASHSEED {seeds}); gc.get_count() at the "
+                      f"fork point: {forks}", flush=True)
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1

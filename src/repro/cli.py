@@ -115,7 +115,11 @@ def _run_topology(args: argparse.Namespace) -> int:
                 return 1
             print(f"ok {source} — {_spec_summary(spec)}")
         return 0
-    spec = load_spec(args.spec)  # describe: let errors propagate
+    try:
+        spec = load_spec(args.spec)
+    except TopologyError as error:
+        print(f"dredbox-repro: error: {error}", file=sys.stderr)
+        return 2
     print(json.dumps(spec.to_dict(), indent=2))
     return 0
 

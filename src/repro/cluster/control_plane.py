@@ -426,8 +426,7 @@ class ControlPlane:
     def impacted_by_memory_brick(self, brick_id: str) -> list[str]:
         """Tenants holding at least one segment on *brick_id*, sorted."""
         return sorted({s.vm_id
-                       for s in self.system.sdm.impacted_by_memory_brick(
-                           brick_id)
+                       for s in self.system.sdm.segments_on(brick_id)
                        if s.vm_id})
 
     def handle_memory_brick_failure(self, brick_id: str) -> list[str]:
@@ -460,35 +459,19 @@ class ControlPlane:
         """DES process: re-place every segment off a failed brick.
 
         The self-healing reaction to :meth:`handle_memory_brick_failure`
-        — each stranded segment is relocated onto a healthy brick the
-        placement policy picks (two-phase across shards on a sharded
-        controller), and a tenant leaves ``degraded`` the moment its
-        last stranded segment lands.  Returns ``(moved, stranded)``
-        segment-id lists; stranded segments (no healthy brick fits)
-        leave their tenants degraded.
+        — the controller relocates each stranded segment onto a healthy
+        brick (:meth:`~repro.orchestration.sdm_controller.SdmController.
+        evacuate_process`; two-phase across shards on a sharded
+        controller), and the tenants whose segments all landed leave
+        ``degraded``.  Returns ``(moved, stranded)`` segment-id lists;
+        stranded segments (no healthy brick fits) leave their tenants
+        degraded.
         """
         sdm = self.system.sdm
         impacted_before = self.impacted_by_memory_brick(brick_id)
-        moved: list[str] = []
-        stranded: list[str] = []
-        for segment in list(sdm.impacted_by_memory_brick(brick_id)):
-            size = segment.size
-            candidates = [c for c in sdm.registry.memory_availability()
-                          if c.brick_id != brick_id]
-            target = sdm.policy.select_memory_brick(
-                candidates, size,
-                origin_rack_id=sdm.registry.rack_of(
-                    segment.compute_brick_id) or None)
-            if target is None:
-                stranded.append(segment.segment_id)
-                continue
-            try:
-                yield from sdm.relocate_segment_process(
-                    self.ctx, segment.segment_id, target)
-            except ReproError:
-                stranded.append(segment.segment_id)
-                continue
-            moved.append(segment.segment_id)
+        moved, stranded = yield from sdm.evacuate_process(
+            self.ctx, sdm.segments_on(brick_id),
+            lambda candidate, _segment: candidate.brick_id != brick_id)
         # A tenant this brick degraded recovers once none of its
         # segments remain stranded on it; tenants degraded by other
         # active faults are left alone.

@@ -447,7 +447,7 @@ class DisaggregatedSystem:
         is not replicated in the prototype).  The brick is excluded from
         future placement.  Returns the impact report.
         """
-        impacted_segments = self.sdm.impacted_by_memory_brick(brick_id)
+        impacted_segments = self.sdm.segments_on(brick_id)
         impacted_vms = sorted({s.vm_id for s in impacted_segments if s.vm_id})
         impact = FailureImpact(
             brick_id=brick_id,

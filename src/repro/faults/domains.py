@@ -169,12 +169,6 @@ class DomainOutage:
 # -- topology-derived builders ------------------------------------------------
 
 
-def _pod_racks(pod) -> list[str]:
-    registry = pod.system.sdm.registry
-    return sorted({e.rack_id for e in registry.compute_entries}
-                  | {e.rack_id for e in registry.memory_entries})
-
-
 def rack_power_domains(federation, *, mtbf_s: float = 300.0,
                        mttr_s: float = 15.0,
                        hazard: Optional[Hazard] = None
@@ -184,20 +178,17 @@ def rack_power_domains(federation, *, mtbf_s: float = 300.0,
     PDU-failure model."""
     domains: list[FailureDomain] = []
     for pod_id in sorted(federation.pods):
-        pod = federation.pods[pod_id]
-        registry = pod.system.sdm.registry
-        sdm = pod.system.sdm
+        sdm = federation.pods[pod_id].system.sdm
         shard_of_rack: dict[str, str] = {}
         if hasattr(sdm, "shard_members"):
             for shard, racks in sdm.shard_members().items():
                 for rack in racks:
                     shard_of_rack[rack] = shard
-        for rack in _pod_racks(pod):
+        for rack in sdm.registry.rack_ids():
+            memory, _ = sdm.registry.rack_entries(rack)
             members: list[tuple[FaultClass, str]] = [
                 (FaultClass.MEMORY_BRICK, f"{pod_id}:{e.brick.brick_id}")
-                for e in sorted(registry.memory_entries,
-                                key=lambda e: e.brick.brick_id)
-                if e.rack_id == rack]
+                for e in memory]
             members.append((FaultClass.RACK_UPLINK, f"{pod_id}:{rack}"))
             if rack in shard_of_rack:
                 members.append(
@@ -217,11 +208,11 @@ def pod_network_domains(federation, *, mtbf_s: float = 600.0,
     rack uplink — the spine-incident model."""
     domains: list[FailureDomain] = []
     for pod_id in sorted(federation.pods):
-        pod = federation.pods[pod_id]
+        registry = federation.pods[pod_id].system.sdm.registry
         members: list[tuple[FaultClass, str]] = [
             (FaultClass.SWITCH, pod_id)]
         members.extend((FaultClass.RACK_UPLINK, f"{pod_id}:{rack}")
-                       for rack in _pod_racks(pod))
+                       for rack in registry.rack_ids())
         domains.append(FailureDomain(
             name=f"net.{pod_id}", kind="network",
             members=tuple(members), mtbf_s=mtbf_s, mttr_s=mttr_s,

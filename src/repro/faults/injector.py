@@ -27,7 +27,11 @@ when*; every reaction runs through the failed tier's own primitives:
   fail_pod`); self-healing re-admits its tenants elsewhere from the
   placer's committed-claim ledger.
 
-Re-placement copies out of a cut-off component model rack-local
+The memory-brick, uplink and switch heals all move segments through
+the pod controller's one evacuation (:meth:`~repro.orchestration.
+sdm_controller.SdmController.evacuate_process`); they differ only in
+which segments they pass and which bricks they keep.  Re-placement
+copies out of a cut-off component model rack-local
 re-materialization (restore from a reachable replica), not a read
 through the dead link — the simulation charges the same copy time
 either way.
@@ -316,11 +320,6 @@ class FaultInjector:
                 for pod_id in sorted(self.federation.pods)
                 if self.federation.pods[pod_id].alive]
 
-    def _pod_racks(self, pod) -> list[str]:
-        registry = pod.system.sdm.registry
-        return sorted({e.rack_id for e in registry.compute_entries}
-                      | {e.rack_id for e in registry.memory_entries})
-
     def _targets(self, klass: FaultClass) -> list[str]:
         """Valid targets of *klass* right now, sorted (deterministic)."""
         pods = self._live_pods()
@@ -345,7 +344,7 @@ class FaultInjector:
             elif klass is FaultClass.RACK_UPLINK:
                 targets.extend(
                     f"{pod.pod_id}:{rack}"
-                    for rack in self._pod_racks(pod)
+                    for rack in registry.rack_ids()
                     if (klass, f"{pod.pod_id}:{rack}") not in self._active)
             elif klass is FaultClass.SHARD:
                 sdm = pod.system.sdm
@@ -595,46 +594,30 @@ class FaultInjector:
     def _rack_tenants(self, pod, rack: str) -> set[str]:
         """Tenants whose VM is hosted on one of *rack*'s compute
         bricks."""
-        registry = pod.system.sdm.registry
-        hosted = set()
-        for tenant_id in self.federation.tenants_on(pod.pod_id):
-            try:
-                brick_id = pod.system.hosting(tenant_id).brick_id
-            except ReproError:
-                continue  # mid-move
-            if registry.rack_of(brick_id) == rack:
-                hosted.add(tenant_id)
-        return hosted
+        return set(self.federation.tenants_hosted_on_rack(pod.pod_id, rack))
 
     def _rack_memory_tenants(self, pod, rack: str) -> set[str]:
         """Tenants holding a segment on one of *rack*'s memory bricks."""
         sdm = pod.system.sdm
-        tenants = set()
-        for entry in sdm.registry.memory_entries:
-            if entry.rack_id != rack:
-                continue
-            tenants.update(
-                s.vm_id
-                for s in sdm.impacted_by_memory_brick(entry.brick.brick_id)
-                if s.vm_id)
-        return tenants
+        memory, _ = sdm.registry.rack_entries(rack)
+        return {s.vm_id for entry in memory
+                for s in sdm.segments_on(entry.brick.brick_id) if s.vm_id}
 
     def _fail_rack_uplink(self, target: str) -> Optional[list[str]]:
         pod, rack = self._split(target)
         if not pod.alive:
             return None
         registry = pod.system.sdm.registry
-        if rack not in self._pod_racks(pod):
+        if rack not in registry.rack_ids():
             raise FaultError(
                 f"unknown rack {rack!r} in {pod.pod_id}")
-        for entry in registry.compute_entries:
-            if entry.rack_id == rack:
-                registry.mark_compute_failed(entry.brick.brick_id)
-        for entry in registry.memory_entries:
-            if entry.rack_id == rack:
-                # The flag alone, not mark_memory_failed: the brick is
-                # healthy and keeps its content — only unreachable.
-                registry.set_memory_failed(entry.brick.brick_id, True)
+        memory, compute = registry.rack_entries(rack)
+        for entry in compute:
+            registry.mark_compute_failed(entry.brick.brick_id)
+        for entry in memory:
+            # The flag alone, not mark_memory_failed: the brick is
+            # healthy and keeps its content — only unreachable.
+            registry.set_memory_failed(entry.brick.brick_id, True)
         impacted = (self._rack_tenants(pod, rack)
                     | self._rack_memory_tenants(pod, rack))
         pod.plane.degraded.update(impacted)
@@ -656,27 +639,15 @@ class FaultInjector:
         sdm = pod.system.sdm
         registry = sdm.registry
         hosted_inside = self._rack_tenants(pod, rack)
-        for entry in sorted(registry.memory_entries,
-                            key=lambda e: e.brick.brick_id):
-            if entry.rack_id != rack:
-                continue
-            for segment in list(
-                    sdm.impacted_by_memory_brick(entry.brick.brick_id)):
-                if registry.rack_of(segment.compute_brick_id) == rack:
-                    continue  # its VM is cut off anyway
-                candidates = [c for c in registry.memory_availability()
-                              if c.rack_id != rack]
-                target_brick = sdm.policy.select_memory_brick(
-                    candidates, segment.size,
-                    origin_rack_id=registry.rack_of(
-                        segment.compute_brick_id) or None)
-                if target_brick is None:
-                    continue  # stays stranded until repair
-                try:
-                    yield from sdm.relocate_segment_process(
-                        pod.plane.ctx, segment.segment_id, target_brick)
-                except ReproError:
-                    continue
+        memory, _ = registry.rack_entries(rack)
+        # Each brick's segments are listed only when the moves reach it;
+        # a segment whose VM is inside the rack is cut off anyway.
+        yield from sdm.evacuate_process(
+            pod.plane.ctx,
+            (segment for entry in memory
+             for segment in sdm.segments_on(entry.brick.brick_id)
+             if registry.rack_of(segment.compute_brick_id) != rack),
+            lambda candidate, _segment: candidate.rack_id != rack)
         still_stranded = self._rack_memory_tenants(pod, rack)
         recovered = [t for t in event.impacted_tenants
                      if t not in hosted_inside
@@ -687,12 +658,11 @@ class FaultInjector:
     def _repair_rack_uplink(self, event: FaultEvent) -> None:
         pod, rack = self._split(event.target)
         registry = pod.system.sdm.registry
-        for entry in registry.compute_entries:
-            if entry.rack_id == rack:
-                registry.restore_compute(entry.brick.brick_id)
-        for entry in registry.memory_entries:
-            if entry.rack_id == rack:
-                registry.set_memory_failed(entry.brick.brick_id, False)
+        memory, compute = registry.rack_entries(rack)
+        for entry in compute:
+            registry.restore_compute(entry.brick.brick_id)
+        for entry in memory:
+            registry.set_memory_failed(entry.brick.brick_id, False)
         pod.plane.degraded.difference_update(event.impacted_tenants)
         link = self._links.get(event.target)
         if link is not None and not link.link_up:
@@ -708,8 +678,7 @@ class FaultInjector:
         segments = []
         for entry in sorted(registry.memory_entries,
                             key=lambda e: e.brick.brick_id):
-            for segment in sdm.impacted_by_memory_brick(
-                    entry.brick.brick_id):
+            for segment in sdm.segments_on(entry.brick.brick_id):
                 if (registry.rack_of(segment.memory_brick_id)
                         != registry.rack_of(segment.compute_brick_id)):
                     segments.append(segment)
@@ -732,22 +701,12 @@ class FaultInjector:
         """Confine cross-rack segments into their compute brick's rack."""
         pod = self._pod(event.target)
         sdm = pod.system.sdm
-        registry = sdm.registry
-        for segment in self._cross_rack_segments(pod):
-            home_rack = registry.rack_of(segment.compute_brick_id)
-            candidates = [c for c in registry.memory_availability()
-                          if c.rack_id == home_rack
-                          and c.brick_id != segment.memory_brick_id]
-            target_brick = sdm.policy.select_memory_brick(
-                candidates, segment.size,
-                origin_rack_id=home_rack or None)
-            if target_brick is None:
-                continue
-            try:
-                yield from sdm.relocate_segment_process(
-                    pod.plane.ctx, segment.segment_id, target_brick)
-            except ReproError:
-                continue
+        rack_of = sdm.registry.rack_of
+        yield from sdm.evacuate_process(
+            pod.plane.ctx, self._cross_rack_segments(pod),
+            lambda candidate, segment: (
+                candidate.rack_id == rack_of(segment.compute_brick_id)
+                and candidate.brick_id != segment.memory_brick_id))
         still_cut = {s.vm_id for s in self._cross_rack_segments(pod)
                      if s.vm_id}
         recovered = [t for t in event.impacted_tenants

@@ -415,6 +415,20 @@ class FederationController(Federation):
         pod = self.pods[self.pod_of(tenant_id)]
         return pod.system.hosting(tenant_id).vm.configured_ram_bytes
 
+    def tenants_hosted_on_rack(self, pod_id: str, rack: str) -> list[str]:
+        """Tenants of *pod_id* whose VM runs on one of *rack*'s compute
+        bricks, sorted; a tenant in the middle of a move is left out."""
+        system = self.pods[pod_id].system
+        hosted = []
+        for tenant_id in self.tenants_on(pod_id):
+            try:
+                brick_id = system.hosting(tenant_id).brick_id
+            except ReproError:
+                continue  # mid-move
+            if system.sdm.registry.rack_of(brick_id) == rack:
+                hosted.append(tenant_id)
+        return hosted
+
     def submit(self, kind: str, tenant_id: str,
                **payload) -> ClusterRequest:
         """Route a request to the tenant's current pod.

@@ -168,19 +168,8 @@ class MaintenanceSupervisor:
                 f"a drain is already running on {pod_id!r}")
         return pod
 
-    @staticmethod
-    def _rack_bricks(registry, rack: str) -> tuple[list, list]:
-        """(memory entries, compute entries) of *rack*, sorted."""
-        memory = sorted((e for e in registry.memory_entries
-                         if e.rack_id == rack),
-                        key=lambda e: e.brick.brick_id)
-        compute = sorted((e for e in registry.compute_entries
-                          if e.rack_id == rack),
-                         key=lambda e: e.brick.brick_id)
-        return memory, compute
-
     def _enter_draining(self, registry, rack: str) -> None:
-        memory, compute = self._rack_bricks(registry, rack)
+        memory, compute = registry.rack_entries(rack)
         for entry in memory + compute:
             if entry.failed:
                 raise MaintenanceError(
@@ -195,7 +184,7 @@ class MaintenanceSupervisor:
 
     def _revert_draining(self, registry, rack: str) -> None:
         """Abort path: return the rack's bricks to active."""
-        memory, compute = self._rack_bricks(registry, rack)
+        memory, compute = registry.rack_entries(rack)
         for entry in memory:
             if entry.lifecycle.state is BrickState.DRAINING:
                 registry.transition_memory(entry.brick.brick_id,
@@ -207,7 +196,7 @@ class MaintenanceSupervisor:
 
     def _retire_rack(self, registry, rack: str) -> ProcessGenerator:
         """Commit path: draining -> cleaning -> maintenance."""
-        memory, compute = self._rack_bricks(registry, rack)
+        memory, compute = registry.rack_entries(rack)
         for entry in memory:
             registry.transition_memory(entry.brick.brick_id,
                                        BrickState.CLEANING)
@@ -221,20 +210,6 @@ class MaintenanceSupervisor:
         for entry in compute:
             registry.transition_compute(entry.brick.brick_id,
                                         BrickState.MAINTENANCE)
-
-    def _relocation_target(self, sdm, registry, segment,
-                           rack: str) -> Optional[str]:
-        """Pick a healthy, active brick outside *rack* for *segment*.
-
-        ``memory_availability`` already filters to lifecycle-placeable
-        bricks, so draining/retired bricks never re-attract moves.
-        """
-        candidates = [c for c in registry.memory_availability()
-                      if c.rack_id != rack]
-        return sdm.policy.select_memory_brick(
-            candidates, segment.size,
-            origin_rack_id=registry.rack_of(
-                segment.compute_brick_id) or None)
 
     def _verified_move(self, pod, segment_id: str, target_brick: str,
                        report: DrainReport) -> ProcessGenerator:
@@ -291,19 +266,6 @@ class MaintenanceSupervisor:
             except ReproError:
                 continue
 
-    def _hosted_on_rack(self, pod, rack: str) -> list[str]:
-        """Tenants whose VM runs on one of *rack*'s compute bricks."""
-        registry = pod.system.sdm.registry
-        hosted = []
-        for tenant_id in self.federation.tenants_on(pod.pod_id):
-            try:
-                brick_id = pod.system.hosting(tenant_id).brick_id
-            except ReproError:
-                continue  # mid-move
-            if registry.rack_of(brick_id) == rack:
-                hosted.append(tenant_id)
-        return hosted
-
     # -- rack drain ----------------------------------------------------------
 
     def drain_rack_process(self, pod_id: str,
@@ -357,8 +319,8 @@ class MaintenanceSupervisor:
                                 moves: list) -> ProcessGenerator:
         """Delta plan + verified copy of every segment on *rack*."""
         sdm = pod.system.sdm
-        registry = pod.system.sdm.registry
-        memory, _ = self._rack_bricks(registry, rack)
+        registry = sdm.registry
+        memory, _ = registry.rack_entries(rack)
         plan = []
         for entry in memory:
             plan.extend(sorted(sdm.segments_on(entry.brick.brick_id),
@@ -372,8 +334,11 @@ class MaintenanceSupervisor:
                 continue  # departed since planning
             if registry.rack_of(record.segment.memory_brick_id) != rack:
                 continue  # already elsewhere (raced a defrag/heal)
-            target = self._relocation_target(sdm, registry,
-                                             record.segment, rack)
+            # Availability lists only placeable bricks, so draining and
+            # retired bricks never attract a move.
+            target = sdm.relocation_target(
+                record.segment,
+                lambda candidate, _segment: candidate.rack_id != rack)
             if target is None:
                 report.abort_reason = (
                     f"no active brick outside {rack} fits "
@@ -403,7 +368,8 @@ class MaintenanceSupervisor:
         ``compute_availability()``, which no longer lists the draining
         rack — so targets are always other racks.
         """
-        for tenant_id in self._hosted_on_rack(pod, rack):
+        for tenant_id in self.federation.tenants_hosted_on_rack(
+                pod.pod_id, rack):
             if drain.abort:
                 return False
             request = pod.plane.submit("migrate", tenant_id)
@@ -439,8 +405,7 @@ class MaintenanceSupervisor:
                 f"cannot drain {pod_id!r}: no other pod is accepting "
                 f"tenants")
         registry = pod.system.sdm.registry
-        racks = sorted({e.rack_id for e in registry.memory_entries}
-                       | {e.rack_id for e in registry.compute_entries})
+        racks = registry.rack_ids()
         report = DrainReport(scope=pod_id, pod_id=pod_id,
                              started_s=self.sim.now)
         drain = _ActiveDrain(pod_id=pod_id, racks=set())
@@ -492,7 +457,8 @@ class MaintenanceSupervisor:
                                     ) -> ProcessGenerator:
         """Live-migrate *rack*'s tenants to other pods (two-phase)."""
         fed = self.federation
-        for tenant_id in self._hosted_on_rack(pod, rack):
+        for tenant_id in self.federation.tenants_hosted_on_rack(
+                pod.pod_id, rack):
             if drain.abort:
                 return False
             if fed._tenant_pod.get(tenant_id) != pod.pod_id:

@@ -186,6 +186,23 @@ class ResourceRegistry:
             raise OrchestrationError(f"unknown brick {brick_id!r}")
         return entry.rack_id
 
+    def rack_ids(self) -> list[str]:
+        """The racks of every registered brick, sorted."""
+        return sorted({entry.rack_id
+                       for entries in (self._compute, self._memory)
+                       for entry in entries.values()})
+
+    def rack_entries(self, rack_id: str
+                     ) -> tuple[list[MemoryEntry], list[ComputeEntry]]:
+        """*rack_id*'s memory and compute entries, each list sorted by
+        brick id."""
+        memory = [self._memory[brick_id] for brick_id in sorted(self._memory)
+                  if self._memory[brick_id].rack_id == rack_id]
+        compute = [self._compute[brick_id]
+                   for brick_id in sorted(self._compute)
+                   if self._compute[brick_id].rack_id == rack_id]
+        return memory, compute
+
     @property
     def brick_count(self) -> int:
         """Registered bricks (compute + memory); registries only grow,

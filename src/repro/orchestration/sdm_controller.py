@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import PlacementError, ReproError, ReservationError
 from repro.hardware.rmst import SegmentEntry
@@ -50,7 +50,7 @@ from repro.orchestration.placement import (
     PlacementPolicy,
     PowerAwarePackingPolicy,
 )
-from repro.orchestration.registry import ResourceRegistry
+from repro.orchestration.registry import MemoryAvailability, ResourceRegistry
 from repro.orchestration.requests import VmAllocationRequest
 from repro.sim.control import ControlContext, run_sync
 from repro.sim.engine import ProcessGenerator
@@ -110,9 +110,9 @@ class SdmController:
         self._circuit_refs: dict[str, int] = {}
         #: memory_brick_id -> segment ids backed by that brick, in
         #: insertion order.  Kept in lockstep with ``_segments`` so
-        #: :meth:`segments_on` / :meth:`impacted_by_memory_brick` are
-        #: O(segments on the brick) instead of O(all live segments) —
-        #: defragmentation and failure handling call them in loops.
+        #: :meth:`segments_on` is O(segments on the brick) instead of
+        #: O(all live segments) — defragmentation and failure handling
+        #: call it in loops.
         self._segments_by_brick: dict[str, dict[str, None]] = {}
         self.allocations = 0
         self.releases = 0
@@ -336,20 +336,12 @@ ShardedSdmController` maps the bricks to their shards and acquires the
         window = compute_entry.agent.kernel.address_map.reserve_window(
             segment.segment_id, padded)
         try:
-            # Reuse a live circuit between the pair when one exists;
-            # else program a new one through the optical switch.
-            circuit = self.fabric.circuit_between(
-                compute_entry.brick, memory_entry.brick)
-            if circuit is None:
-                circuit = self.fabric.connect(
-                    compute_entry.brick, memory_entry.brick)
-                latency += circuit.setup_time_s
+            circuit, latency = self._take_circuit(
+                compute_entry.brick, memory_entry.brick, latency)
         except ReproError:
             compute_entry.agent.kernel.address_map.cancel_reservation(
                 segment.segment_id)
             raise
-        self._circuit_refs[circuit.circuit_id] = (
-            self._circuit_refs.get(circuit.circuit_id, 0) + 1)
 
         entry = SegmentEntry(
             segment_id=segment.segment_id,
@@ -367,6 +359,31 @@ ShardedSdmController` maps the bricks to their shards and acquires the
         self.allocations += 1
         return AttachTicket(segment=segment, rmst_entry=entry,
                             control_latency_s=latency)
+
+    def _take_circuit(self, compute_brick, memory_brick,
+                      latency: float) -> tuple[FabricCircuit, float]:
+        """Reuse the live circuit between the pair, or program a new one
+        through the optical switch and add its setup time to *latency*;
+        either way one more segment rides it.  Returns ``(circuit,
+        latency)``."""
+        circuit = self.fabric.circuit_between(compute_brick, memory_brick)
+        if circuit is None:
+            circuit = self.fabric.connect(compute_brick, memory_brick)
+            latency += circuit.setup_time_s
+        self._circuit_refs[circuit.circuit_id] = (
+            self._circuit_refs.get(circuit.circuit_id, 0) + 1)
+        return circuit, latency
+
+    def _drop_circuit(self, circuit: FabricCircuit) -> bool:
+        """One segment fewer rides *circuit*; the last one out tears it
+        down.  Returns True when the circuit was torn down."""
+        refs = self._circuit_refs[circuit.circuit_id] - 1
+        if refs:
+            self._circuit_refs[circuit.circuit_id] = refs
+            return False
+        del self._circuit_refs[circuit.circuit_id]
+        self.fabric.disconnect(circuit)
+        return True
 
     def _circuit_feasible(self, compute_brick, memory_brick) -> bool:
         """Can traffic flow between the two bricks?
@@ -420,12 +437,7 @@ ShardedSdmController` maps the bricks to their shards and acquires the
         memory_entry = self.registry.memory(record.segment.memory_brick_id)
         memory_entry.allocator.free(record.segment.offset)
         latency = self.timings.reservation_s
-
-        circuit_id = record.circuit.circuit_id
-        self._circuit_refs[circuit_id] -= 1
-        if self._circuit_refs[circuit_id] == 0:
-            del self._circuit_refs[circuit_id]
-            self.fabric.disconnect(record.circuit)
+        if self._drop_circuit(record.circuit):
             latency += record.circuit.circuit.setup_time_s
         self.releases += 1
         return latency
@@ -459,19 +471,9 @@ ShardedSdmController` maps the bricks to their shards and acquires the
         latency = self.timings.reservation_s
 
         # Swing the circuit: drop the old reference, take/make a new one.
-        old_circuit = record.circuit
-        self._circuit_refs[old_circuit.circuit_id] -= 1
-        if self._circuit_refs[old_circuit.circuit_id] == 0:
-            del self._circuit_refs[old_circuit.circuit_id]
-            self.fabric.disconnect(old_circuit)
-        new_circuit = self.fabric.circuit_between(
-            target_entry.brick, memory_entry.brick)
-        if new_circuit is None:
-            new_circuit = self.fabric.connect(
-                target_entry.brick, memory_entry.brick)
-            latency += new_circuit.setup_time_s
-        self._circuit_refs[new_circuit.circuit_id] = (
-            self._circuit_refs.get(new_circuit.circuit_id, 0) + 1)
+        self._drop_circuit(record.circuit)
+        new_circuit, latency = self._take_circuit(
+            target_entry.brick, memory_entry.brick, latency)
 
         segment = record.segment
         segment.compute_brick_id = new_compute_brick_id
@@ -588,14 +590,8 @@ ShardedSdmController` maps the bricks to their shards and acquires the
         The caller rolls that capacity back if this raises."""
         segment = record.segment
         target_memory_brick_id = target_entry.brick.brick_id
-        new_circuit = self.fabric.circuit_between(
-            compute_entry.brick, target_entry.brick)
-        if new_circuit is None:
-            new_circuit = self.fabric.connect(
-                compute_entry.brick, target_entry.brick)
-            latency += new_circuit.setup_time_s
-        self._circuit_refs[new_circuit.circuit_id] = (
-            self._circuit_refs.get(new_circuit.circuit_id, 0) + 1)
+        new_circuit, latency = self._take_circuit(
+            compute_entry.brick, target_entry.brick, latency)
 
         # The bytes actually move (the one cost repointing never pays).
         latency += transfer_time(segment.size, copy_rate_bps)
@@ -620,11 +616,7 @@ ShardedSdmController` maps the bricks to their shards and acquires the
 
         source_entry = self.registry.memory(segment.memory_brick_id)
         source_entry.allocator.free(segment.offset)
-        old_circuit = record.circuit
-        self._circuit_refs[old_circuit.circuit_id] -= 1
-        if self._circuit_refs[old_circuit.circuit_id] == 0:
-            del self._circuit_refs[old_circuit.circuit_id]
-            self.fabric.disconnect(old_circuit)
+        self._drop_circuit(record.circuit)
 
         latency += self.timings.config_generation_s
         self._index_discard(segment.memory_brick_id, segment.segment_id)
@@ -634,6 +626,56 @@ ShardedSdmController` maps the bricks to their shards and acquires the
         record.entry = new_entry
         record.circuit = new_circuit
         return new_entry, latency
+
+    # ------------------------------------------------------------------
+    # Evacuation: move segments off bricks that can no longer serve them
+    # ------------------------------------------------------------------
+
+    def relocation_target(
+            self, segment: RemoteSegment,
+            keep: Callable[[MemoryAvailability, RemoteSegment], bool]
+    ) -> Optional[str]:
+        """The brick the placement policy picks for *segment* among the
+        placeable bricks *keep* accepts, or ``None`` when none fits.
+
+        The segment's compute rack is the policy's origin, so a move
+        stays as close to the VM as the kept bricks allow.
+        """
+        candidates = [candidate
+                      for candidate in self.registry.memory_availability()
+                      if keep(candidate, segment)]
+        return self.policy.select_memory_brick(
+            candidates, segment.size,
+            origin_rack_id=self.registry.rack_of(
+                segment.compute_brick_id) or None)
+
+    def evacuate_process(
+            self, ctx: ControlContext, segments,
+            keep: Callable[[MemoryAvailability, RemoteSegment], bool]
+    ) -> ProcessGenerator:
+        """DES process: relocate each segment of the iterable *segments*
+        onto its :meth:`relocation_target`, one move at a time.
+
+        The iterable is consumed as the moves go, so a generator sees
+        the state each earlier move left.  A segment with no target, or
+        whose move raises, is stranded where it is.  Returns ``(moved,
+        stranded)`` segment-id lists.
+        """
+        moved: list[str] = []
+        stranded: list[str] = []
+        for segment in segments:
+            target = self.relocation_target(segment, keep)
+            if target is None:
+                stranded.append(segment.segment_id)
+                continue
+            try:
+                yield from self.relocate_segment_process(
+                    ctx, segment.segment_id, target)
+            except ReproError:
+                stranded.append(segment.segment_id)
+                continue
+            moved.append(segment.segment_id)
+        return moved, stranded
 
     # ------------------------------------------------------------------
     # VM allocation (role a: requests arriving from OpenStack)
@@ -749,16 +791,6 @@ ShardedSdmController` maps the bricks to their shards and acquires the
             record.circuit = new_circuit
         latency += self.timings.config_generation_s
         return latency
-
-    def impacted_by_memory_brick(self, brick_id: str
-                                 ) -> list[RemoteSegment]:
-        """Segments whose backing memory lives on *brick_id*.
-
-        Served from the per-brick index (O(segments on the brick)), so
-        failure handling stays cheap even with a large live-segment
-        population.
-        """
-        return self.segments_on(brick_id)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -133,9 +133,7 @@ class ShardedSdmController(SdmController):
         return, not a rescan.
         """
         if self.registry.brick_count != self._mapped_brick_count:
-            racks = sorted(
-                {e.rack_id for e in self.registry.compute_entries}
-                | {e.rack_id for e in self.registry.memory_entries})
+            racks = self.registry.rack_ids()
             count = self._shard_count or max(1, len(racks))
             self._rack_to_shard = {
                 rack: f"shard{index % count}"

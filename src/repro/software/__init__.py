@@ -5,8 +5,8 @@ dynamically and safely request, attach and use remote memory on any given
 dCOMPUBRICK":
 
 * :mod:`repro.software.pages` / :mod:`repro.software.hotplug` — the
-  baremetal OS layer: section-granular memory hotplug as implemented for
-  arm64 by the project (paper ref [12]).
+  baremetal OS layer: memory hotplug of whole windows, charged per
+  section, as implemented for arm64 by the project (paper ref [12]).
 * :mod:`repro.software.kernel` — the baremetal kernel view of a compute
   brick: physical map, hotplug, RAM accounting.
 * :mod:`repro.software.vm` / :mod:`repro.software.hypervisor` — the
@@ -23,7 +23,7 @@ from repro.software.balloon import BalloonDriver
 from repro.software.hotplug import HotplugTimings, MemoryHotplug
 from repro.software.hypervisor import Hypervisor, HypervisorTimings, VirtualDimm
 from repro.software.kernel import BaremetalKernel
-from repro.software.pages import DEFAULT_SECTION_BYTES, MemorySection, SectionState
+from repro.software.pages import DEFAULT_SECTION_BYTES, SectionState
 from repro.software.scaleup import ScaleUpController, ScaleUpRequest, ScaleUpResult
 from repro.software.vm import VirtualMachine, VmState
 
@@ -36,7 +36,6 @@ __all__ = [
     "Hypervisor",
     "HypervisorTimings",
     "MemoryHotplug",
-    "MemorySection",
     "ScaleUpController",
     "ScaleUpRequest",
     "ScaleUpResult",

@@ -2,9 +2,9 @@
 
 Mirrors the Linux flow the project upstreamed for arm64 (paper ref [12]):
 
-* ``add_memory()`` — register sections as PRESENT: allocate the memmap
+* ``add_memory()`` — register a range as PRESENT: allocate the memmap
   (struct pages) and expand the page-table pool.
-* ``online_pages()`` — hand PRESENT sections to the buddy allocator.
+* ``online_pages()`` — hand a PRESENT range to the buddy allocator.
 * ``offline_pages()`` / ``remove_memory()`` — the reverse path (offlining
   must migrate any used pages away, which makes it slower).
 
@@ -18,11 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import HotplugError
-from repro.software.pages import (
-    DEFAULT_SECTION_BYTES,
-    MemorySection,
-    SectionState,
-)
+from repro.software.pages import DEFAULT_SECTION_BYTES, SectionState
 from repro.units import milliseconds
 
 
@@ -46,7 +42,14 @@ DEFAULT_HOTPLUG_TIMINGS = HotplugTimings()
 
 
 class MemoryHotplug:
-    """Section bookkeeping plus operation latencies for one kernel."""
+    """Hotplug state of one kernel's added ranges, plus operation
+    latencies.
+
+    Every caller adds, onlines, offlines and removes whole windows, so
+    the state is kept per added range, not per section: an operation
+    acts on exactly one added range and refuses anything else.
+    Latencies are still charged per section the range covers.
+    """
 
     def __init__(self, section_bytes: int = DEFAULT_SECTION_BYTES,
                  timings: HotplugTimings = DEFAULT_HOTPLUG_TIMINGS) -> None:
@@ -54,22 +57,18 @@ class MemoryHotplug:
             raise HotplugError("section size must be positive")
         self.section_bytes = section_bytes
         self.timings = timings
-        #: Sections that are PRESENT or ONLINE; an index missing here is
-        #: ABSENT, so the map holds what is attached now, not every
-        #: section ever attached.
-        self._sections: dict[int, MemorySection] = {}
+        #: base -> (size, PRESENT or ONLINE) of every added range; a
+        #: removed range is forgotten, so the map holds what is added
+        #: now, not every range ever added.
+        self._ranges: dict[int, tuple[int, SectionState]] = {}
         self.operations = 0
-        # Running state counters: sections only change state through the
-        # four operations below, so ``online_bytes``/``present_bytes``
-        # stay O(1) instead of rescanning every section per query (the
-        # queries sit on the control plane's availability hot path).
-        self._online_sections = 0
-        self._present_sections = 0
+        self._online_bytes = 0
+        self._present_bytes = 0
 
     # -- geometry ----------------------------------------------------------------
 
-    def section_span(self, base: int, size: int) -> range:
-        """Section indices covering ``[base, base+size)``.
+    def section_count(self, base: int, size: int) -> int:
+        """Sections covering ``[base, base+size)``.
 
         Hotplug requires section alignment; misaligned ranges are the
         classic way to corrupt the memory map, so they are rejected.
@@ -80,97 +79,79 @@ class MemoryHotplug:
                 f"{self.section_bytes >> 20} MiB section size")
         if size <= 0:
             raise HotplugError(f"size must be positive, got {size}")
-        first = base // self.section_bytes
-        return range(first, first + size // self.section_bytes)
+        return size // self.section_bytes
 
-    def section(self, index: int) -> MemorySection:
-        """The section at *index*; an ABSENT index reads as a fresh
-        ABSENT section, which is not stored."""
-        section = self._sections.get(index)
-        if section is None:
-            return MemorySection(index, self.section_bytes)
-        return section
+    def _added(self, verb: str, base: int, size: int,
+               state: SectionState) -> int:
+        """Section count of the added range ``[base, base+size)``, which
+        must be in *state*; raises for anything else."""
+        sections = self.section_count(base, size)
+        added = self._ranges.get(base)
+        if added is None or added[0] != size:
+            raise HotplugError(
+                f"cannot {verb} [{base:#x}, +{size:#x}): not an added "
+                f"range")
+        if added[1] is not state:
+            raise HotplugError(
+                f"cannot {verb} [{base:#x}, +{size:#x}): it is "
+                f"{added[1].value}"
+                + (" (offline it first)" if verb == "remove" else ""))
+        return sections
 
     # -- operations --------------------------------------------------------------------
 
     def add_memory(self, base: int, size: int) -> float:
         """Register ``[base, base+size)`` as PRESENT; returns latency.
 
-        All-or-nothing: if any covered section is already present the
-        operation fails before touching anything.
+        Refused, with nothing changed, when the range overlaps an added
+        one.
         """
-        span = self.section_span(base, size)
-        sections = [self.section(i) for i in span]
-        for sec in sections:
-            if sec.state is not SectionState.ABSENT:
+        sections = self.section_count(base, size)
+        for other, (other_size, state) in self._ranges.items():
+            if other < base + size and base < other + other_size:
                 raise HotplugError(
-                    f"section {sec.index} is already {sec.state.value}")
-        for sec in sections:
-            sec.transition(SectionState.PRESENT)
-            self._sections[sec.index] = sec
-        self._present_sections += len(sections)
+                    f"range [{base:#x}, +{size:#x}) overlaps "
+                    f"[{other:#x}, +{other_size:#x}), already "
+                    f"{state.value}")
+        self._ranges[base] = (size, SectionState.PRESENT)
+        self._present_bytes += size
         self.operations += 1
         return (self.timings.operation_overhead_s
-                + len(sections) * self.timings.add_per_section_s)
+                + sections * self.timings.add_per_section_s)
 
     def online(self, base: int, size: int) -> float:
-        """Online PRESENT sections; returns latency."""
-        span = self.section_span(base, size)
-        sections = [self.section(i) for i in span]
-        for sec in sections:
-            if sec.state is not SectionState.PRESENT:
-                raise HotplugError(
-                    f"cannot online section {sec.index}: {sec.state.value}")
-        for sec in sections:
-            sec.transition(SectionState.ONLINE)
-        self._online_sections += len(sections)
+        """Online a PRESENT range; returns latency."""
+        sections = self._added("online", base, size, SectionState.PRESENT)
+        self._ranges[base] = (size, SectionState.ONLINE)
+        self._online_bytes += size
         self.operations += 1
         return (self.timings.operation_overhead_s
-                + len(sections) * self.timings.online_per_section_s)
+                + sections * self.timings.online_per_section_s)
 
     def offline(self, base: int, size: int) -> float:
-        """Offline ONLINE sections (page migration); returns latency."""
-        span = self.section_span(base, size)
-        sections = [self.section(i) for i in span]
-        for sec in sections:
-            if sec.state is not SectionState.ONLINE:
-                raise HotplugError(
-                    f"cannot offline section {sec.index}: {sec.state.value}")
-        for sec in sections:
-            sec.transition(SectionState.PRESENT)
-        self._online_sections -= len(sections)
+        """Offline an ONLINE range (page migration); returns latency."""
+        sections = self._added("offline", base, size, SectionState.ONLINE)
+        self._ranges[base] = (size, SectionState.PRESENT)
+        self._online_bytes -= size
         self.operations += 1
         return (self.timings.operation_overhead_s
-                + len(sections) * self.timings.offline_per_section_s)
+                + sections * self.timings.offline_per_section_s)
 
     def remove_memory(self, base: int, size: int) -> float:
-        """Unregister PRESENT sections back to ABSENT; returns latency."""
-        span = self.section_span(base, size)
-        sections = [self.section(i) for i in span]
-        for sec in sections:
-            if sec.state is not SectionState.PRESENT:
-                raise HotplugError(
-                    f"cannot remove section {sec.index}: {sec.state.value} "
-                    f"(offline it first)")
-        for sec in sections:
-            sec.transition(SectionState.ABSENT)
-            del self._sections[sec.index]
-        self._present_sections -= len(sections)
+        """Unregister a PRESENT range; returns latency."""
+        sections = self._added("remove", base, size, SectionState.PRESENT)
+        del self._ranges[base]
+        self._present_bytes -= size
         self.operations += 1
         return (self.timings.operation_overhead_s
-                + len(sections) * self.timings.remove_per_section_s)
+                + sections * self.timings.remove_per_section_s)
 
     # -- queries -------------------------------------------------------------------------
 
     def online_bytes(self) -> int:
         """Bytes currently usable by the buddy allocator."""
-        return self._online_sections * self.section_bytes
+        return self._online_bytes
 
     def present_bytes(self) -> int:
         """Bytes registered (PRESENT or ONLINE)."""
-        return self._present_sections * self.section_bytes
-
-    def sections_in_state(self, state: SectionState) -> list[MemorySection]:
-        """Attached sections in *state*; ABSENT sections are not
-        stored, so that state always reads empty."""
-        return [s for s in self._sections.values() if s.state is state]
+        return self._present_bytes

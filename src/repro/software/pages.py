@@ -9,18 +9,17 @@ hotplug linux kernel support for arm64" (§IV.A, ref [12]).
 Linux manages hotpluggable memory in fixed-size *sections* (SPARSEMEM).
 A section is either ABSENT (no backing), PRESENT (registered, struct
 pages allocated, not yet usable) or ONLINE (given to the buddy
-allocator).  The granule is architecture-dependent — 128 MiB is the
-common x86-64 figure and the configurable default here; the arm64 port
-of the era used larger 1 GiB sections, which the hotplug ablation bench
-sweeps.
+allocator); :class:`~repro.software.hotplug.MemoryHotplug` moves every
+section of an attached window together.  The granule is
+architecture-dependent — 128 MiB is the common x86-64 figure and the
+configurable default here; the arm64 port of the era used larger 1 GiB
+sections, which the hotplug ablation bench sweeps.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from repro.errors import HotplugError
 from repro.units import mib
 
 #: Default hotplug section size (SPARSEMEM section), bytes.
@@ -33,52 +32,3 @@ class SectionState(enum.Enum):
     ABSENT = "absent"
     PRESENT = "present"
     ONLINE = "online"
-
-
-_LEGAL = {
-    SectionState.ABSENT: {SectionState.PRESENT},
-    SectionState.PRESENT: {SectionState.ONLINE, SectionState.ABSENT},
-    SectionState.ONLINE: {SectionState.PRESENT},
-}
-
-
-@dataclass
-class MemorySection:
-    """One hotplug section of the physical memory map.
-
-    Attributes:
-        index: Section number (``phys_addr // section_bytes``).
-        section_bytes: Size of every section in this map.
-        state: Current SPARSEMEM state.
-    """
-
-    index: int
-    section_bytes: int = DEFAULT_SECTION_BYTES
-    state: SectionState = SectionState.ABSENT
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise HotplugError(f"section index must be >= 0, got {self.index}")
-        if self.section_bytes <= 0:
-            raise HotplugError("section size must be positive")
-
-    @property
-    def base_address(self) -> int:
-        return self.index * self.section_bytes
-
-    @property
-    def is_online(self) -> bool:
-        return self.state is SectionState.ONLINE
-
-    def transition(self, new_state: SectionState) -> None:
-        """Move along the hotplug state machine; rejects illegal jumps
-        (e.g. onlining an absent section)."""
-        if new_state not in _LEGAL[self.state]:
-            raise HotplugError(
-                f"section {self.index}: illegal transition "
-                f"{self.state.value} -> {new_state.value}")
-        self.state = new_state
-
-    def __repr__(self) -> str:
-        return (f"MemorySection({self.index}, "
-                f"{self.section_bytes >> 20} MiB, {self.state.value})")

@@ -245,6 +245,8 @@ class TestCli:
          "hazard: unknown hazard kind 'bathtub'"),
         (["run", "maintenance", "--set", "hazard=weibull:-1:2"],
          "hazard: Weibull scale must be positive"),
+        (["topology", "describe", "nosuch"],
+         "no template or spec file 'nosuch'"),
     ])
     def test_bad_input_exits_2_with_one_line(self, capsys, argv,
                                              message):

@@ -57,6 +57,23 @@ class TestRegistry:
         with pytest.raises(OrchestrationError):
             registry.memory("ghost")
 
+    def test_rack_ids_and_entries_are_sorted(self):
+        registry = ResourceRegistry()
+        for brick_id, rack in (("mb1", "r1"), ("mb0", "r1"), ("mb2", "r0")):
+            registry.register_memory(MemoryBrick(brick_id), rack_id=rack)
+        for brick_id, rack in (("cb1", "r0"), ("cb0", "r0"), ("cb2", "r2")):
+            brick = ComputeBrick(brick_id, local_memory_bytes=gib(4))
+            kernel = BaremetalKernel(brick)
+            registry.register_compute(brick, Hypervisor(kernel),
+                                      SdmAgent(kernel), rack_id=rack)
+        assert registry.rack_ids() == ["r0", "r1", "r2"]
+        memory, compute = registry.rack_entries("r0")
+        assert [e.brick.brick_id for e in memory] == ["mb2"]
+        assert [e.brick.brick_id for e in compute] == ["cb0", "cb1"]
+        memory, compute = registry.rack_entries("r1")
+        assert [e.brick.brick_id for e in memory] == ["mb0", "mb1"]
+        assert compute == []
+
     def test_compute_availability_tracks_vms(self):
         registry = ResourceRegistry()
         _brick, hypervisor = register_compute(registry)

@@ -224,7 +224,7 @@ class TestSegmentIndex:
         tickets = [controller.allocate("cb0", f"vm-{i}", gib(1))
                    for i in range(2)]
         brick = tickets[0].segment.memory_brick_id
-        impacted = controller.impacted_by_memory_brick(brick)
+        impacted = controller.segments_on(brick)
         assert {s.segment_id for s in impacted} == {
             t.segment.segment_id for t in tickets
             if t.segment.memory_brick_id == brick}
@@ -350,3 +350,27 @@ class TestRelocateSegment:
         controller = build_controller()
         with pytest.raises(ReservationError, match="unknown segment"):
             controller.relocate_segment("ghost", "mb0")
+
+
+class TestEvacuate:
+    def test_moves_onto_kept_bricks_and_strands_the_rest(self):
+        from repro.sim.control import run_sync
+        controller = build_controller(memory_count=3)
+        tickets = [controller.allocate("cb0", f"vm-{i}", gib(1))
+                   for i in range(2)]
+        source = tickets[0].segment.memory_brick_id
+        segments = controller.segments_on(source)
+        assert len(segments) == 2
+
+        def keep(candidate, segment):
+            return candidate.brick_id not in (source, "mb2")
+        assert controller.relocation_target(segments[0], keep) == "mb1"
+        moved, stranded = run_sync(lambda ctx: controller.evacuate_process(
+            ctx, segments[:1], keep))
+        assert (moved, stranded) == ([segments[0].segment_id], [])
+        assert segments[0].memory_brick_id == "mb1"
+
+        moved, stranded = run_sync(lambda ctx: controller.evacuate_process(
+            ctx, segments[1:], lambda candidate, segment: False))
+        assert (moved, stranded) == ([], [segments[1].segment_id])
+        assert segments[1].memory_brick_id == source

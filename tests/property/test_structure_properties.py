@@ -11,7 +11,6 @@ from repro.hardware.rmst import RemoteMemorySegmentTable, SegmentEntry
 from repro.memory.address import AddressRange, PhysicalAddressMap, align_up
 from repro.network.optical.ber import ReceiverModel, ber_for_q, q_for_ber
 from repro.software.hotplug import MemoryHotplug
-from repro.software.pages import SectionState
 from repro.units import mib
 
 MIB = 1 << 20
@@ -130,7 +129,7 @@ def test_hotplug_roundtrip_is_identity(section_count):
     hotplug.offline(0, size)
     hotplug.remove_memory(0, size)
     assert hotplug.present_bytes() == 0
-    assert hotplug.sections_in_state(SectionState.ONLINE) == []
+    assert hotplug.online_bytes() == 0
 
 
 # ---------------------------------------------------------------------------

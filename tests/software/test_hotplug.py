@@ -1,4 +1,4 @@
-"""Unit tests for memory sections and the hotplug state machine."""
+"""Unit tests for the per-range hotplug state machine."""
 
 from __future__ import annotations
 
@@ -6,56 +6,26 @@ import pytest
 
 from repro.errors import HotplugError
 from repro.software.hotplug import HotplugTimings, MemoryHotplug
-from repro.software.pages import (
-    DEFAULT_SECTION_BYTES,
-    MemorySection,
-    SectionState,
-)
+from repro.software.pages import DEFAULT_SECTION_BYTES
 from repro.units import gib, mib
-
-
-class TestMemorySection:
-    def test_lifecycle(self):
-        section = MemorySection(0)
-        section.transition(SectionState.PRESENT)
-        section.transition(SectionState.ONLINE)
-        assert section.is_online
-        section.transition(SectionState.PRESENT)
-        section.transition(SectionState.ABSENT)
-
-    def test_absent_to_online_illegal(self):
-        with pytest.raises(HotplugError, match="illegal"):
-            MemorySection(0).transition(SectionState.ONLINE)
-
-    def test_online_to_absent_illegal(self):
-        section = MemorySection(0, state=SectionState.ONLINE)
-        with pytest.raises(HotplugError):
-            section.transition(SectionState.ABSENT)
-
-    def test_base_address(self):
-        section = MemorySection(3, section_bytes=mib(128))
-        assert section.base_address == 3 * mib(128)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(HotplugError):
-            MemorySection(-1)
 
 
 class TestSectionSpan:
     def test_aligned_range(self):
         hotplug = MemoryHotplug(mib(128))
-        span = hotplug.section_span(gib(1), mib(256))
-        assert list(span) == [8, 9]
+        assert hotplug.section_count(gib(1), mib(256)) == 2
 
     def test_misaligned_base_rejected(self):
         hotplug = MemoryHotplug(mib(128))
         with pytest.raises(HotplugError, match="not aligned"):
-            hotplug.section_span(mib(64), mib(128))
+            hotplug.add_memory(mib(64), mib(128))
+        assert hotplug.present_bytes() == 0
 
     def test_misaligned_size_rejected(self):
         hotplug = MemoryHotplug(mib(128))
         with pytest.raises(HotplugError, match="not aligned"):
-            hotplug.section_span(0, mib(100))
+            hotplug.add_memory(0, mib(100))
+        assert hotplug.present_bytes() == 0
 
 
 class TestOperations:
@@ -73,8 +43,10 @@ class TestOperations:
         hotplug.add_memory(0, mib(128))
         with pytest.raises(HotplugError, match="already"):
             hotplug.add_memory(0, mib(256))
-        # Nothing of the second range was touched.
-        assert hotplug.section(1).state is SectionState.ABSENT
+        # Nothing of the second range was added.
+        assert hotplug.present_bytes() == mib(128)
+        with pytest.raises(HotplugError, match="not an added range"):
+            hotplug.online(mib(128), mib(128))
 
     def test_online_full_flow(self, hotplug):
         hotplug.add_memory(0, mib(256))
@@ -116,15 +88,29 @@ class TestOperations:
             hotplug.online(base, mib(256))
             hotplug.offline(base, mib(256))
             hotplug.remove_memory(base, mib(256))
-        assert hotplug.section(5000).state is SectionState.ABSENT
-        assert not any(hotplug.sections_in_state(state)
-                       for state in SectionState)
+        assert hotplug.present_bytes() == 0
+        assert hotplug.online_bytes() == 0
+        # No range remains: one range over every window adds cleanly.
+        hotplug.add_memory(0, 1000 * mib(256))
 
-    def test_sections_in_state(self, hotplug):
+    @pytest.mark.parametrize("operation, base, size", [
+        ("online", 0, mib(128)),
+        ("online", mib(128), mib(128)),
+        ("online", 0, mib(512)),
+        ("add_memory", mib(128), mib(256)),
+    ])
+    def test_part_of_an_added_range_is_refused(self, hotplug, operation,
+                                               base, size):
         hotplug.add_memory(0, mib(256))
-        hotplug.online(0, mib(128))
-        assert len(hotplug.sections_in_state(SectionState.ONLINE)) == 1
-        assert len(hotplug.sections_in_state(SectionState.PRESENT)) == 1
+        before = (hotplug.operations, hotplug.present_bytes(),
+                  hotplug.online_bytes())
+        with pytest.raises(HotplugError):
+            getattr(hotplug, operation)(base, size)
+        assert (hotplug.operations, hotplug.present_bytes(),
+                hotplug.online_bytes()) == before
+        # The whole range still moves as one.
+        hotplug.online(0, mib(256))
+        assert hotplug.online_bytes() == mib(256)
 
 
 class TestLatencyModel:
