@@ -207,8 +207,7 @@ class ControlPlane:
                                  payload=payload)
         # Control-plane backlog = requests still in the admission store
         # plus requests already claimed by a worker but queued on a
-        # SDM-C reservation critical section (the default domain and,
-        # with a sharded controller, every shard domain).
+        # SDM-C reservation critical section (a shard domain).
         depth = (self.admission.size
                  + self.ctx.total_reservation_queue_depth)
         request.record = RequestRecord(

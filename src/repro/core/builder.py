@@ -12,7 +12,8 @@ Two builders share the same assembly helpers:
 Both assemble every layer in dependency order: bricks into trays, trays
 into racks, MBO channels into the optical fabric, kernels / hypervisors
 / agents / scale-up controllers onto compute bricks, segment allocators
-onto memory bricks, and the SDM controller over it all.
+onto memory bricks, and the SDM controller (sharded per rack) over it
+all.
 
 Example::
 
@@ -43,6 +44,7 @@ from repro.network.optical.topology import OpticalFabric
 from repro.orchestration.placement import PlacementPolicy
 from repro.orchestration.registry import ResourceRegistry
 from repro.orchestration.sdm_controller import SdmController, SdmTimings
+from repro.orchestration.sharding import ShardedSdmController
 from repro.software.agent import SdmAgent
 from repro.software.hypervisor import Hypervisor
 from repro.software.kernel import BaremetalKernel
@@ -69,7 +71,6 @@ class _SystemBuilder:
         self._sdm_timings: Optional[SdmTimings] = None
         self._cbn_ports = 8
         self._fibre_plan = DEFAULT_FIBRE_PLAN
-        self._shard_controller = False
         self._controller_shards: Optional[int] = None
 
     # -- configuration -----------------------------------------------------------
@@ -136,18 +137,16 @@ class _SystemBuilder:
         return self
 
     def with_controller_shards(self, count: Optional[int] = None):
-        """Build a :class:`~repro.orchestration.sharding.\
-ShardedSdmController` instead of the single-domain SDM-C.
+        """Group the SDM-C's racks into *count* reservation shards.
 
-        ``count=None`` shards the reservation domain per rack; an
-        explicit count groups racks round-robin into that many shards
-        (``count=1`` is the single-serialized-controller baseline, on
-        the sharded code path).
+        Every builder makes a :class:`~repro.orchestration.sharding.\
+ShardedSdmController`; ``count=None`` (the default) gives it one shard
+        per rack, and an explicit count groups racks round-robin into
+        that many shards (``count=1`` is the centralized baseline).
         """
         if count is not None and count < 1:
             raise ConfigurationError(
                 f"controller shard count must be >= 1, got {count}")
-        self._shard_controller = True
         self._controller_shards = count
         return self
 
@@ -203,13 +202,10 @@ ShardedSdmController` instead of the single-domain SDM-C.
         return kwargs
 
     def _make_controller(self, registry: ResourceRegistry,
-                         fabric: OpticalFabric) -> SdmController:
-        if self._shard_controller:
-            from repro.orchestration.sharding import ShardedSdmController
-            return ShardedSdmController(
-                registry, fabric, shard_count=self._controller_shards,
-                **self._sdm_kwargs())
-        return SdmController(registry, fabric, **self._sdm_kwargs())
+                         fabric: OpticalFabric) -> ShardedSdmController:
+        return ShardedSdmController(
+            registry, fabric, shard_count=self._controller_shards,
+            **self._sdm_kwargs())
 
     def _install_stacks(self, bricks: list[Brick],
                         registry: ResourceRegistry, sdm: SdmController,

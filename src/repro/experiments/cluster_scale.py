@@ -106,7 +106,7 @@ class ClusterScaleResult:
 
     def cell(self, rack_count: int, rate_hz: float, mode: str,
              shards: Optional[int] = None) -> ClusterScaleCell:
-        """Look a cell up; ``shards=None`` means the single-domain
+        """Look a cell up; ``shards=None`` means the centralized
         (shards=1) controller baseline."""
         wanted = 1 if shards is None else shards
         for candidate in self.cells:

@@ -32,7 +32,7 @@ from typing import Optional
 
 from repro.analysis.tables import render_table
 from repro.cluster.trace import poisson_trace
-from repro.errors import ConfigurationError, FaultError
+from repro.errors import AllocationError, ConfigurationError, FaultError
 from repro.experiments.availability import (
     ARRIVAL_RATE_HZ,
     POD_COUNT,
@@ -223,21 +223,22 @@ class MaintenanceResult:
 
 def _conserved(federation) -> bool:
     """Post-run conservation audit: allocator state matches the live
-    segment set everywhere, and no hold or claim leaked."""
-    try:
-        for pod in federation.pods.values():
-            entries = pod.system.sdm.registry.memory_entries
-            allocated = sum(e.allocator.allocated_bytes for e in entries)
-            live = sum(s.size for s in pod.system.sdm.live_segments)
-            if allocated != live:
-                return False
+    segment set everywhere, and no hold or claim leaked.  A corrupt
+    allocator reads as not conserved; any other error propagates."""
+    for pod in federation.pods.values():
+        entries = pod.system.sdm.registry.memory_entries
+        allocated = sum(e.allocator.allocated_bytes for e in entries)
+        live = sum(s.size for s in pod.system.sdm.live_segments)
+        if allocated != live:
+            return False
+        try:
             for entry in entries:
                 entry.allocator.check_invariants()
-            if getattr(pod.system.sdm, "pending_holds", []) != []:
-                return False
-        return federation.placer.pending_claims == []
-    except Exception:
-        return False
+        except AllocationError:
+            return False
+        if pod.system.sdm.pending_holds:
+            return False
+    return federation.placer.pending_claims == []
 
 
 def _run_cell(spec: TopologySpec, label: str, seed: int, *,

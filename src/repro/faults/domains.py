@@ -180,19 +180,17 @@ def rack_power_domains(federation, *, mtbf_s: float = 300.0,
     for pod_id in sorted(federation.pods):
         sdm = federation.pods[pod_id].system.sdm
         shard_of_rack: dict[str, str] = {}
-        if hasattr(sdm, "shard_members"):
-            for shard, racks in sdm.shard_members().items():
-                for rack in racks:
-                    shard_of_rack[rack] = shard
+        for shard, racks in sdm.shard_members().items():
+            for rack in racks:
+                shard_of_rack[rack] = shard
         for rack in sdm.registry.rack_ids():
             memory, _ = sdm.registry.rack_entries(rack)
             members: list[tuple[FaultClass, str]] = [
                 (FaultClass.MEMORY_BRICK, f"{pod_id}:{e.brick.brick_id}")
                 for e in memory]
             members.append((FaultClass.RACK_UPLINK, f"{pod_id}:{rack}"))
-            if rack in shard_of_rack:
-                members.append(
-                    (FaultClass.SHARD, f"{pod_id}:{shard_of_rack[rack]}"))
+            members.append(
+                (FaultClass.SHARD, f"{pod_id}:{shard_of_rack[rack]}"))
             domains.append(FailureDomain(
                 name=f"power.{pod_id}.{rack}", kind="power",
                 members=tuple(members), mtbf_s=mtbf_s, mttr_s=mttr_s,

@@ -16,9 +16,10 @@ when*; every reaction runs through the failed tier's own primitives:
 * **inter-rack switch** — tenants whose memory sits in a different
   rack than their VM lose their data path; self-healing confines each
   such segment into its compute brick's own rack;
-* **shard controller** — the sharded SDM-C rolls back the dead shard's
-  in-flight two-phase holds and (with self-healing) the survivors take
-  its racks over across a consistent hash ring, Ironic-conductor
+* **shard controller** — the SDM-C marks the shard failed (no
+  two-phase hold outlives the synchronous step that takes it, so none
+  is in flight to roll back) and (with self-healing) the survivors
+  take its racks over across a consistent hash ring, Ironic-conductor
   style (:meth:`~repro.orchestration.sharding.ShardedSdmController.
   fail_shard`); without takeover the racks go unmanaged and their
   tenants degrade until repair;
@@ -347,10 +348,7 @@ class FaultInjector:
                     for rack in registry.rack_ids()
                     if (klass, f"{pod.pod_id}:{rack}") not in self._active)
             elif klass is FaultClass.SHARD:
-                sdm = pod.system.sdm
-                if not hasattr(sdm, "fail_shard"):
-                    continue
-                live = sdm.live_shards()
+                live = pod.system.sdm.live_shards()
                 if self.self_heal and len(live) < 2:
                     continue  # takeover needs a survivor
                 targets.extend(f"{pod.pod_id}:{shard}" for shard in live)
@@ -728,10 +726,6 @@ class FaultInjector:
         if not pod.alive:
             return None
         sdm = pod.system.sdm
-        if not hasattr(sdm, "fail_shard"):
-            raise FaultError(
-                f"{pod.pod_id}'s controller is not sharded; "
-                f"no shard {shard!r} to fail")
         if shard not in sdm.shard_names():
             raise FaultError(
                 f"unknown shard {shard!r} in {pod.pod_id}")

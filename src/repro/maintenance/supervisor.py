@@ -144,8 +144,6 @@ class MaintenanceSupervisor:
             return component in drain.racks
         if event.klass is FaultClass.SHARD:
             sdm = self.federation.pods[pod_id].system.sdm
-            if not hasattr(sdm, "shard_members"):
-                return False
             members = sdm.shard_members().get(component, [])
             return bool(drain.racks.intersection(members))
         return False

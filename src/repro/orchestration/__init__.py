@@ -8,9 +8,9 @@ component integrated with OpenStack, namely the SDM Controller (SDM-C)."
   availability accounting.
 * :mod:`repro.orchestration.placement` — selection policies, including
   the power-consumption-conscious one the paper calls for.
-* :mod:`repro.orchestration.sdm_controller` — the SDM-C itself: safe
-  reservation, circuit programming, configuration push.
-* :mod:`repro.orchestration.sharding` — the sharded SDM-C facade:
+* :mod:`repro.orchestration.sdm_controller` — the SDM-C's reservation
+  tables and lock-free steps: circuit programming, configuration push.
+* :mod:`repro.orchestration.sharding` — the SDM-C every builder makes:
   per-rack reservation domains with a two-phase cross-shard reserve.
 * :mod:`repro.orchestration.openstack` — the thin OpenStack-like facade
   that feeds VM allocation requests to the SDM-C.

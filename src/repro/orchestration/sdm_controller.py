@@ -15,24 +15,27 @@ drive it, and reuses/establishes optical circuits through the
 :class:`~repro.network.optical.topology.OpticalFabric`.
 
 Reservation is a *critical section* — the "safely" in roles (b) and (c).
-The ``*_process`` generator methods model it as a real DES resource:
-concurrent requests running on one shared
-:class:`~repro.sim.control.ControlContext` queue on
-``ctx.reservation`` and serialize in FIFO order, with their queueing
-delay accounted on the simulated clock (the Fig. 10 agility-under-load
-regime).  A single-threaded controller also generates and pushes each
-request's configuration (role d) before serving the next, so by default
-that cost is charged while the section is held; a batching control
-plane passes ``charge_config=False`` and pushes ONE amortized
-configuration per batch instead (see
-:mod:`repro.cluster.control_plane`).
+:class:`SdmController` holds the reservation tables (live segments,
+their per-brick index, the circuit reference ledger) and the steps that
+run once the covering section is held.  The sections themselves belong
+to :class:`~repro.orchestration.sharding.ShardedSdmController`, the
+controller every builder makes: its ``*_process`` generators queue on
+one capacity-1 DES domain per rack shard of a shared
+:class:`~repro.sim.control.ControlContext`, so concurrent requests on a
+shard serialize in FIFO order, with their queueing delay accounted on
+the simulated clock (the Fig. 10 agility-under-load regime).  A
+controller also generates and pushes each request's configuration
+(role d) before serving the next, so by default that cost is charged
+while the section is held; a batching control plane passes
+``charge_config=False`` and pushes ONE amortized configuration per
+batch instead (see :mod:`repro.cluster.control_plane`).
 
-The synchronous methods (``allocate``, ``release``, ``place_vm``) are
-**zero-contention compatibility wrappers**: each runs its process as
-the only traffic on a private one-shot simulator
-(:func:`~repro.sim.control.run_sync`), so the latencies they report are
-pure service time — no queueing delay is, or can be, included.  Use the
-process API on a shared context to study contention.
+The synchronous methods (``allocate``, ``release``, ``place_vm``,
+``relocate_segment``) are **zero-contention compatibility wrappers**:
+each runs its process as the only traffic on a private one-shot
+simulator (:func:`~repro.sim.control.run_sync`), so the latencies they
+report are pure service time — no queueing delay is, or can be,
+included.  Use the process API on a shared context to study contention.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from typing import Callable, Optional
 
 from repro.errors import PlacementError, ReproError, ReservationError
 from repro.hardware.rmst import SegmentEntry
-from repro.memory.address import align_up
 from repro.memory.segments import RemoteSegment
 from repro.network.optical.topology import FabricCircuit, OpticalFabric
 from repro.orchestration.placement import (
@@ -90,6 +92,12 @@ class _SegmentRecord:
 class SdmController:
     """The SDM-C service (one per rack, or one per pod).
 
+    This class holds the reservation tables and the steps that need no
+    lock of their own; :class:`~repro.orchestration.sharding.\
+ShardedSdmController`, the class builders make, adds the reservation
+    scopes and the allocation, placement and relocation processes that
+    take them.
+
     The controller is topology-oblivious by construction: it talks to a
     fabric facade (rack-local :class:`OpticalFabric` or pod-wide
     :class:`~repro.fabric.fabric.PodFabric`) for light paths and passes
@@ -132,24 +140,9 @@ class SdmController:
                 del self._segments_by_brick[memory_brick_id]
 
     # ------------------------------------------------------------------
-    # Reservation scope (overridden by the sharded controller)
+    # Reservation scope (the sharded controller's reserve_scope and
+    # scope_covers take and check the locks)
     # ------------------------------------------------------------------
-
-    def reserve_scope(self, ctx: ControlContext, label: str,
-                      brick_ids: tuple = ()) -> ProcessGenerator:
-        """Acquire the reservation critical section(s) covering *brick_ids*.
-
-        Process-style helper returning an opaque token the caller must
-        hand back to :meth:`release_scope` (in a ``finally``).  The
-        single-domain controller ignores *brick_ids* — there is exactly
-        one critical section.  :class:`~repro.orchestration.sharding.\
-ShardedSdmController` maps the bricks to their shards and acquires the
-        involved shard domains in canonical order (deadlock-free).  An
-        empty *brick_ids* means "everything the controller manages"
-        (used by whole-pool passes such as elasticity rebalancing).
-        """
-        grant = yield from ctx.enter_reservation(label)
-        return (("reservation", ctx.reservation, grant),)
 
     def reserve_scope_stable(self, ctx: ControlContext, label: str,
                              brick_ids_fn) -> ProcessGenerator:
@@ -160,8 +153,7 @@ ShardedSdmController` maps the bricks to their shards and acquires the
         concurrent relocation moved the segment to another shard), the
         scope is released and re-acquired for the new set — so the
         critical work below always runs under the locks that actually
-        cover its bricks.  On the single-domain controller one lock
-        covers everything, so the first acquisition always stands.
+        cover its bricks.
         """
         while True:
             token = yield from self.reserve_scope(
@@ -170,13 +162,8 @@ ShardedSdmController` maps the bricks to their shards and acquires the
                 return token
             self.release_scope(token)
 
-    def scope_covers(self, token, brick_ids: tuple) -> bool:
-        """Does *token* hold every critical section *brick_ids* need?
-        Trivially true with a single reservation domain."""
-        return True
-
     def release_scope(self, token) -> None:
-        """Release every critical section acquired by :meth:`reserve_scope`."""
+        """Release every critical section a reserve scope acquired."""
         for _name, resource, grant in reversed(token):
             resource.release(grant)
 
@@ -203,48 +190,16 @@ ShardedSdmController` maps the bricks to their shards and acquires the
                  size_bytes: int) -> AttachTicket:
         """Reserve a remote segment + circuit for *compute_brick_id*.
 
-        Zero-contention synchronous wrapper around
-        :meth:`allocate_process` (see the module docstring).  Returns an
-        :class:`AttachTicket` whose ``control_latency_s`` covers
-        reservation, any brick power-on, circuit setup (only when a new
-        circuit is needed) and configuration generation — pure service
-        time, since the private context has no competing requests.
+        Zero-contention synchronous wrapper around the sharded
+        controller's ``allocate_process`` (see the module docstring).
+        Returns an :class:`AttachTicket` whose ``control_latency_s``
+        covers reservation, any brick power-on, circuit setup (only when
+        a new circuit is needed) and configuration generation — pure
+        service time, since the private context has no competing
+        requests.
         """
         return run_sync(lambda ctx: self.allocate_process(
             ctx, compute_brick_id, vm_id, size_bytes))
-
-    def allocate_process(self, ctx: ControlContext, compute_brick_id: str,
-                         vm_id: str, size_bytes: int, *,
-                         charge_config: bool = True) -> ProcessGenerator:
-        """DES process: reserve a segment under the critical section.
-
-        Queues on ``ctx.reservation`` (FIFO) for the SDM-C service and,
-        while holding it, charges the full per-request work on the
-        clock: inspect/reserve, any power-on, circuit setup and — in
-        the per-request baseline — configuration generation, because a
-        single-threaded controller finishes pushing one request's
-        configuration before picking up the next (roles b-d of §IV.C).
-
-        With ``charge_config=False`` only the inspect/reserve part is
-        charged (and the ticket's latency excludes the config share):
-        this is the hook for batching control planes, which hold the
-        section per-reservation but push ONE amortized configuration
-        for a whole batch (see
-        :class:`~repro.cluster.control_plane.ControlPlane`).
-
-        Returns (via ``yield from``) the :class:`AttachTicket`; the
-        queueing delay is observable as the difference between entry
-        time and grant time, and is traced as ``sdm.reserve.wait``.
-        """
-        grant = yield from ctx.enter_reservation(vm_id)
-        try:
-            ticket = self._allocate_inner(compute_brick_id, vm_id,
-                                          size_bytes)
-            ticket, critical_s = self._charged(ticket, charge_config)
-            yield ctx.sim.timeout(critical_s)
-        finally:
-            ctx.reservation.release(grant)
-        return ticket
 
     def _charged(self, ticket: AttachTicket,
                  charge_config: bool) -> tuple[AttachTicket, float]:
@@ -261,15 +216,6 @@ ShardedSdmController` maps the bricks to their shards and acquires the
             critical_s -= self.timings.config_generation_s
             ticket = replace(ticket, control_latency_s=critical_s)
         return ticket, critical_s
-
-    def _allocate_inner(self, compute_brick_id: str, vm_id: str,
-                        size_bytes: int) -> AttachTicket:
-        """The reservation work itself (state mutation + latency ledger)."""
-        compute_entry = self.registry.compute(compute_brick_id)
-        padded = align_up(size_bytes, self.registry.segment_alignment)
-        return self._allocate_from_candidates(
-            compute_entry, vm_id, padded,
-            self.registry.memory_availability())
 
     def _allocate_from_candidates(self, compute_entry, vm_id: str,
                                   padded: int,
@@ -414,9 +360,8 @@ ShardedSdmController` maps the bricks to their shards and acquires the
 
         The whole release is reservation-table work, so it runs (and is
         charged) while holding the reservation scope covering the
-        segment's bricks (the single critical section here; the
-        involved shards on a sharded controller).  Returns the
-        orchestration latency.
+        segment's bricks (the shards of its memory and compute bricks).
+        Returns the orchestration latency.
         """
         self.segment_record(segment_id)  # fail fast on unknown ids
         token = yield from self.reserve_scope_stable(
@@ -510,51 +455,15 @@ ShardedSdmController` maps the bricks to their shards and acquires the
         local window is untouched — only the RMST entry's remote side
         changes — so the guest never notices beyond the copy time.
 
-        Returns ``(new_entry, latency_s)`` where the latency covers
-        reservation, target power-on, circuit setup, the byte copy at
+        Zero-contention synchronous wrapper around the sharded
+        controller's ``relocate_segment_process``.  Returns
+        ``(new_entry, latency_s)`` where the latency covers reservation,
+        target power-on, circuit setup, the byte copy at
         *copy_rate_bps*, glue reprogramming, and config generation.
         """
-        record, compute_entry, target_entry = self._relocate_validate(
-            segment_id, target_memory_brick_id)
-        latency = self.timings.reservation_s
-        if self.registry.ensure_powered(target_memory_brick_id):
-            latency += self.timings.power_on_s
-        new_offset = target_entry.allocator.allocate(record.segment.size)
-        try:
-            return self._relocate_commit(record, compute_entry,
-                                         target_entry, new_offset,
-                                         copy_rate_bps, latency)
-        except ReproError:
-            target_entry.allocator.free(new_offset)
-            raise
-
-    def relocate_segment_process(self, ctx: ControlContext,
-                                 segment_id: str,
-                                 target_memory_brick_id: str,
-                                 copy_rate_bps: float = SEGMENT_COPY_RATE_BPS
-                                 ) -> ProcessGenerator:
-        """DES process form of :meth:`relocate_segment`.
-
-        Holds the reservation scope covering the segment's current
-        brick, its compute brick and the relocation target for the
-        whole move (relocation rewrites the reservation tables on both
-        sides).  On a sharded controller a cross-shard move runs as a
-        two-phase reserve instead of taking a global lock.  Returns
-        ``(new_entry, latency_s)``.
-        """
-        self.segment_record(segment_id)  # fail fast on unknown ids
-        token = yield from self.reserve_scope_stable(
-            ctx, f"relocate:{segment_id}",
-            self._segment_scope_fn(segment_id,
-                                   extra=(target_memory_brick_id,)))
-        try:
-            entry, latency = self.relocate_segment(
-                segment_id, target_memory_brick_id,
-                copy_rate_bps=copy_rate_bps)
-            yield ctx.sim.timeout(latency)
-        finally:
-            self.release_scope(token)
-        return entry, latency
+        return run_sync(lambda ctx: self.relocate_segment_process(
+            ctx, segment_id, target_memory_brick_id,
+            copy_rate_bps=copy_rate_bps))
 
     def _relocate_validate(self, segment_id: str,
                            target_memory_brick_id: str):
@@ -684,42 +593,13 @@ ShardedSdmController` maps the bricks to their shards and acquires the
     def place_vm(self, request: VmAllocationRequest) -> tuple[str, float]:
         """Choose a compute brick for *request*; returns (brick, latency).
 
-        Zero-contention synchronous wrapper around
-        :meth:`place_vm_process`.  Local brick RAM may be insufficient
-        for the request — boot-time memory beyond local DRAM is attached
-        through :meth:`allocate` by the caller (see
+        Zero-contention synchronous wrapper around the sharded
+        controller's ``place_vm_process``.  Local brick RAM may be
+        insufficient for the request — boot-time memory beyond local
+        DRAM is attached through :meth:`allocate` by the caller (see
         :mod:`repro.core.flows`).
         """
         return run_sync(lambda ctx: self.place_vm_process(ctx, request))
-
-    def place_vm_process(self, ctx: ControlContext,
-                         request: VmAllocationRequest) -> ProcessGenerator:
-        """DES process: select (and reserve) a compute brick under the
-        critical section.  Returns ``(brick_id, latency_s)``."""
-        grant = yield from ctx.enter_reservation(request.vm_id)
-        try:
-            brick_id, latency = self._place_vm_inner(request)
-            yield ctx.sim.timeout(latency)
-        finally:
-            ctx.reservation.release(grant)
-        return brick_id, latency
-
-    def _place_vm_inner(self, request: VmAllocationRequest
-                        ) -> tuple[str, float]:
-        """The placement work itself (state mutation + latency ledger)."""
-        latency = self.timings.reservation_s
-        candidates = self.registry.compute_availability()
-        # Boot RAM beyond the brick's local DRAM comes from remote
-        # segments, so only the vCPU requirement gates placement here.
-        brick_id = self.policy.select_compute_brick(
-            candidates, request.vcpus, ram_bytes=0,
-            origin_rack_id=request.affinity_rack_id or None)
-        if brick_id is None:
-            raise PlacementError(
-                f"no dCOMPUBRICK has {request.vcpus} free cores")
-        if self.registry.ensure_powered(brick_id):
-            latency += self.timings.power_on_s
-        return brick_id, latency
 
     # ------------------------------------------------------------------
     # Failure handling

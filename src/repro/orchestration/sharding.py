@@ -9,13 +9,15 @@ under a datacenter-level SDM — and both DRackSim (Puri et al.) and the
 cross-layer disaggregated-memory survey identify centralized allocation
 metadata as the limiting factor.
 
-:class:`ShardedSdmController` splits the reservation domain into
-**shards** — one per rack by default, or racks grouped round-robin into
-a configured shard count — each backed by its own capacity-1 DES
-critical section (a named domain on the shared
-:class:`~repro.sim.control.ControlContext`).  The synchronous API and
-every ``*_process`` generator of :class:`~repro.orchestration.\
-sdm_controller.SdmController` are preserved; only the locking changes:
+:class:`ShardedSdmController` is the SDM-C every builder makes.  It
+splits the reservation domain into **shards** — one per rack by
+default, or racks grouped round-robin into a configured shard count,
+where one shard is the centralized baseline — each backed by its own
+capacity-1 DES critical section (a named domain on the shared
+:class:`~repro.sim.control.ControlContext`).  To the reservation tables
+and lock-free steps of :class:`~repro.orchestration.sdm_controller.\
+SdmController` it adds the reservation scopes and the processes that
+take them:
 
 * **locality-first placements** that stay within the requester's shard
   take only that shard's lock — the common case under a locality-aware
@@ -91,15 +93,13 @@ class ShardHold:
 
 
 class ShardedSdmController(SdmController):
-    """SDM-C facade whose reservation domain is sharded per rack.
+    """The SDM-C, its reservation domain sharded per rack.
 
-    Drop-in replacement for :class:`SdmController`: same synchronous
-    API, same ``*_process`` generators, same registry/fabric/policy
-    collaborators.  ``shard_count=None`` (default) gives one shard per
-    rack; an explicit count groups racks round-robin (in sorted rack-id
-    order, so the mapping is canonical) into that many shards.
-    ``shard_count=1`` degenerates to a single serialized controller —
-    the baseline for shard-scaling sweeps.
+    ``shard_count=None`` (default) gives one shard per rack; an explicit
+    count groups racks round-robin (in sorted rack-id order, so the
+    mapping is canonical) into that many shards.  ``shard_count=1`` is
+    a single serialized controller — the baseline for shard-scaling
+    sweeps — and a one-rack system has one shard either way.
     """
 
     def __init__(self, registry: ResourceRegistry, fabric: OpticalFabric,
@@ -300,9 +300,10 @@ class ShardedSdmController(SdmController):
                       brick_ids: tuple = ()) -> ProcessGenerator:
         """Acquire the shard domains covering *brick_ids*.
 
-        Empty *brick_ids* acquires every shard (whole-pool passes such
-        as elasticity rebalancing).  The token is released through the
-        inherited :meth:`SdmController.release_scope`.
+        Process-style helper returning an opaque token the caller must
+        hand back to the inherited :meth:`SdmController.release_scope`
+        (in a ``finally``).  Empty *brick_ids* acquires every shard
+        (whole-pool passes such as elasticity rebalancing).
         """
         if brick_ids:
             shards = {self.shard_of_brick(b) for b in brick_ids}
@@ -368,8 +369,14 @@ class ShardedSdmController(SdmController):
         Only when the home shard cannot host the segment does the
         two-phase cross-shard path run: home and target shard locks in
         canonical order, tentative hold on the target, commit or
-        rollback.  ``charge_config`` behaves exactly as on the base
-        controller (batching planes amortize the config push).
+        rollback.  The section is held while the request's work is
+        charged (roles b-d of §IV.C): inspect/reserve, any power-on,
+        circuit setup and configuration generation, which
+        ``charge_config=False`` leaves out of the charge and the ticket
+        for batching planes that push ONE amortized configuration per
+        batch (:class:`~repro.cluster.control_plane.ControlPlane`).
+        Returns the :class:`AttachTicket`; waits are traced as
+        ``sdm.reserve.wait``.
         """
         compute_entry = self.registry.compute(compute_brick_id)
         padded = align_up(size_bytes, self.registry.segment_alignment)
@@ -504,6 +511,8 @@ class ShardedSdmController(SdmController):
             candidates = [c for c in availability
                           if shards[c.rack_id] is not None
                           and c.brick_id not in excluded]
+            # Boot RAM beyond the brick's local DRAM comes from remote
+            # segments, so only the vCPU requirement gates placement.
             pick = self.policy.select_compute_brick(
                 candidates, request.vcpus, ram_bytes=0,
                 origin_rack_id=request.affinity_rack_id or None)

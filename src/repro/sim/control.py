@@ -4,9 +4,10 @@ Every orchestration operation in the library exists in two forms:
 
 * a **process generator** (``*_process`` methods) that runs on a
   :class:`~repro.sim.engine.Simulator`, acquires the SDM-C reservation
-  critical section as a real :class:`~repro.sim.resources.Resource`, and
-  charges its latency on the simulated clock — so concurrent requests
-  queue and serialize, and queueing delay is observable;
+  critical sections as real :class:`~repro.sim.resources.Resource`
+  objects, and charges its latency on the simulated clock — so
+  concurrent requests queue and serialize, and queueing delay is
+  observable;
 * a **synchronous wrapper** (the historical API) that builds a private
   one-shot context, runs the process to completion, and returns its
   result.  By construction the private context has no other traffic, so
@@ -14,15 +15,16 @@ Every orchestration operation in the library exists in two forms:
   are pure service time with no queueing delay.
 
 :class:`ControlContext` bundles what a control-plane process needs — the
-simulator, the shared reservation critical section, and a tracer — and
+simulator, the reservation critical sections, and a tracer — and
 :func:`run_sync` implements the wrapper convention.
 
-A context also hosts **named reservation domains** (:meth:`ControlContext.domain`):
-lazily created capacity-1 resources keyed by name.  A sharded SDM
-controller (:class:`~repro.orchestration.sharding.ShardedSdmController`)
-uses one domain per shard, so reservations in different shards proceed
-in parallel while reservations inside one shard still serialize FIFO.
-``ctx.reservation`` is the default (un-sharded) domain.
+The critical sections are **named reservation domains**
+(:meth:`ControlContext.domain`): lazily created capacity-1 resources
+keyed by name.  The SDM controller
+(:class:`~repro.orchestration.sharding.ShardedSdmController`) uses one
+domain per shard, so reservations in different shards proceed in
+parallel while reservations inside one shard still serialize FIFO.
+There is no default domain.
 """
 
 from __future__ import annotations
@@ -42,15 +44,11 @@ class ControlContext:
 
     Attributes:
         sim: The discrete-event simulator the processes run on.
-        reservation: The SDM-C critical section (§IV.C roles b, c):
-            capacity 1, so concurrent reserve operations serialize in
-            FIFO order with measurable queueing delay.
         tracer: Records timestamped control-plane events.
     """
 
     def __init__(self, sim: Optional[Simulator] = None) -> None:
         self.sim = sim = sim if sim is not None else Simulator()
-        self.reservation = Resource(self.sim)
         self._domains: dict[str, Resource] = {}
         # The clock closes over the simulator, not the context: a
         # closure over ``self`` would make every context a reference
@@ -59,15 +57,17 @@ class ControlContext:
 
     @property
     def total_reservation_queue_depth(self) -> int:
-        """Waiters across the default domain and every named domain."""
-        return (self.reservation.queue_length
-                + sum(r.queue_length for r in self._domains.values()))
+        """Waiters across every named domain."""
+        return sum(r.queue_length for r in self._domains.values())
 
     def domain(self, name: str) -> Resource:
         """The named reservation domain, lazily created on first use.
 
-        Domains model independently serialized controller shards: each
-        is its own capacity-1 FIFO resource on this context's simulator.
+        Domains model independently serialized controller shards (the
+        SDM-C critical sections of §IV.C roles b, c): each is its own
+        capacity-1 FIFO resource on this context's simulator, so
+        concurrent reserve operations on it serialize with measurable
+        queueing delay.
         """
         resource = self._domains.get(name)
         if resource is None:
@@ -75,23 +75,15 @@ class ControlContext:
             self._domains[name] = resource
         return resource
 
-    def enter_reservation(self, label: str) -> ProcessGenerator:
-        """Acquire the critical section, tracing the queueing delay.
+    def enter_domain(self, name: str, label: str) -> ProcessGenerator:
+        """Acquire the named domain, tracing the queueing delay.
 
         Process-style helper (``grant = yield from
-        ctx.enter_reservation(label)``): queues FIFO on the
-        reservation, records the wait under ``sdm.reserve.wait`` with
-        *label*, and returns the grant the caller must pass to
-        ``ctx.reservation.release`` (in a ``finally``).
+        ctx.enter_domain(name, label)``): queues FIFO on the domain,
+        records the wait under ``sdm.reserve.wait`` with the label
+        ``<name>:<label>``, and returns the grant the caller must pass
+        to ``ctx.domain(name).release`` (in a ``finally``).
         """
-        enqueued = self.sim.now
-        grant: Request = yield from self.reservation.acquire()
-        self.tracer.record(RESERVE_WAIT, label, self.sim.now - enqueued)
-        return grant
-
-    def enter_domain(self, name: str, label: str) -> ProcessGenerator:
-        """Acquire the named domain, tracing the wait like
-        :meth:`enter_reservation` (label ``<name>:<label>``)."""
         enqueued = self.sim.now
         grant: Request = yield from self.domain(name).acquire()
         self.tracer.record(RESERVE_WAIT, f"{name}:{label}",
@@ -107,8 +99,8 @@ def run_sync(process_factory: Callable[[ControlContext],
     call-per-request APIs: *process_factory* receives a fresh
     :class:`ControlContext`, the returned generator is run as the only
     process on the private simulator, and its return value is handed
-    back.  With no competing traffic the reservation critical section is
-    always free, so no queueing delay accrues — the wrapper preserves
+    back.  With no competing traffic every reservation domain is always
+    free, so no queueing delay accrues — the wrapper preserves
     the exact latency accounting of the pre-DES synchronous code.
     """
     ctx = ControlContext()

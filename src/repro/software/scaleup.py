@@ -135,14 +135,15 @@ class ScaleUpController:
         """DES process form of :meth:`scale_up`.
 
         Each pipeline step is charged on the shared clock; the SDM
-        reservation queues on ``ctx.reservation`` when the allocator
-        exposes ``allocate_process``.  ``charge_config`` is forwarded to
-        the allocator so a batching control plane can amortize
-        configuration generation across a batch.  ``on_commit`` (when
-        given) is invoked the moment the SDM-side reservation has
-        committed — everything after it is brick-side work (glue,
-        kernel, hypervisor), which a completion-offloading control
-        plane runs without holding a dispatcher slot.
+        reservation queues on the controller's shard domains of *ctx*
+        when the allocator exposes ``allocate_process``.
+        ``charge_config`` is forwarded to the allocator so a batching
+        control plane can amortize configuration generation across a
+        batch.  ``on_commit`` (when given) is invoked the moment the
+        SDM-side reservation has committed — everything after it is
+        brick-side work (glue, kernel, hypervisor), which a
+        completion-offloading control plane runs without holding a
+        dispatcher slot.
         """
         vm = self.hypervisor.vm(request.vm_id)
         yield ctx.sim.timeout(CONTROLLER_OVERHEAD_S)

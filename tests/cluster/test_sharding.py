@@ -2,9 +2,9 @@
 
 Three families of guarantees:
 
-* **facade compatibility** — the sharded controller is a drop-in
-  replacement: synchronous API, ``*_process`` generators and the
-  per-brick segment index behave exactly like the base controller;
+* **facade compatibility** — the sharded controller is the one every
+  builder makes, so its synchronous wrappers, ``*_process`` generators
+  and per-brick segment index serve the whole SDM-C API;
 * **parallelism shape** — same-shard reservations serialize on their
   shard's critical section while different-shard reservations proceed
   in parallel (and ``shard_count=1`` restores full serialization);

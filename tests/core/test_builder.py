@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError, TopologyError
 from repro.network.optical.switch import OpticalCircuitSwitch
 from repro.orchestration.placement import SpreadPolicy
 from repro.orchestration.sdm_controller import SdmTimings
+from repro.orchestration.sharding import ShardedSdmController
 from repro.units import gib
 
 
@@ -105,6 +106,23 @@ class TestBuild:
             RackBuilder("r").with_tray_slots(0)
         with pytest.raises(ConfigurationError):
             RackBuilder("r").with_cbn_ports(0)
+
+
+class TestController:
+    """Every builder makes the per-rack sharded SDM-C; sharding is not
+    something a caller has to ask for."""
+
+    def test_rack_builder_makes_one_shard(self):
+        sdm = RackBuilder("r").build().sdm
+        assert isinstance(sdm, ShardedSdmController)
+        assert sdm.shard_members() == {"shard0": ["r"]}
+
+    def test_pod_builder_makes_one_shard_per_rack(self):
+        sdm = PodBuilder("p").with_racks(3).build().sdm
+        assert isinstance(sdm, ShardedSdmController)
+        assert sdm.shard_members() == {"shard0": ["p.rack0"],
+                                       "shard1": ["p.rack1"],
+                                       "shard2": ["p.rack2"]}
 
 
 class TestTopologyErrors:

@@ -12,11 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
-from repro.errors import ConfigurationError
+from repro.errors import AllocationError, ConfigurationError
 from repro.experiments.maintenance import (
     AVAILABILITY_FLOOR,
+    _conserved,
     run_maintenance,
 )
+from repro.federation.controller import build_federation
 from repro.experiments.runner import parse_assignments, run_all
 
 
@@ -109,3 +111,35 @@ class TestCliFlags:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "unknown domain set 'nope'" in err
+
+
+class TestConservationAudit:
+    """The post-run audit reads a corrupt allocator as not conserved
+    and lets every other error through."""
+
+    @staticmethod
+    def _allocator(federation):
+        pod = next(iter(federation.pods.values()))
+        return pod.system.sdm.registry.memory_entries[0].allocator
+
+    def test_a_corrupt_allocator_reads_not_conserved(self, monkeypatch):
+        federation = build_federation(1, racks_per_pod=1)
+        assert _conserved(federation)
+
+        def corrupt():
+            raise AllocationError("spans cover 0 of 1 bytes")
+
+        monkeypatch.setattr(self._allocator(federation),
+                            "check_invariants", corrupt)
+        assert not _conserved(federation)
+
+    def test_any_other_error_propagates(self, monkeypatch):
+        federation = build_federation(1, racks_per_pod=1)
+
+        def broken():
+            raise TypeError("not an audit finding")
+
+        monkeypatch.setattr(self._allocator(federation),
+                            "check_invariants", broken)
+        with pytest.raises(TypeError, match="not an audit finding"):
+            _conserved(federation)

@@ -10,7 +10,7 @@ from repro.network.optical.switch import OpticalCircuitSwitch
 from repro.network.optical.topology import OpticalFabric
 from repro.orchestration.registry import ResourceRegistry
 from repro.orchestration.requests import VmAllocationRequest
-from repro.orchestration.sdm_controller import SdmController
+from repro.orchestration.sharding import ShardedSdmController
 from repro.software.agent import SdmAgent
 from repro.software.hypervisor import Hypervisor
 from repro.software.kernel import BaremetalKernel
@@ -33,7 +33,7 @@ def build_controller(compute_count=1, memory_count=2, cbn_ports=8):
                             module_bytes=gib(16), cbn_ports=cbn_ports)
         registry.register_memory(brick)
         fabric.attach_brick(brick)
-    return SdmController(registry, fabric)
+    return ShardedSdmController(registry, fabric)
 
 
 class TestAllocate:
@@ -266,8 +266,8 @@ class TestCriticalSectionSerialization:
         waits = {record.label: record.data
                  for record in ctx.tracer.records
                  if record.category == "sdm.reserve.wait"}
-        assert waits["vm-a"] == pytest.approx(0.0)
-        assert waits["vm-b"] == pytest.approx(service)
+        assert waits["sdm.shard0:vm-a"] == pytest.approx(0.0)
+        assert waits["sdm.shard0:vm-b"] == pytest.approx(service)
 
     def test_sync_wrapper_is_zero_contention(self):
         """The synchronous API runs on a private context: back-to-back

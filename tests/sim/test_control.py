@@ -9,8 +9,8 @@ from repro.sim.control import RESERVE_WAIT, ControlContext, run_sync
 
 def _reserve_twice(ctx: ControlContext):
     yield ctx.sim.timeout(1.0)
-    grant = yield from ctx.enter_reservation("vm-0")
-    ctx.reservation.release(grant)
+    grant = yield from ctx.enter_domain("shard0", "vm-0")
+    ctx.domain("shard0").release(grant)
     grant = yield from ctx.enter_domain("shard0", "vm-0")
     ctx.domain("shard0").release(grant)
     return [record.time for record in ctx.tracer.select(RESERVE_WAIT)]
