@@ -11,31 +11,33 @@ inside that serve's set-up: ``setup_s`` grows by tens of milliseconds
 while every simulated metric stays the same.  A change that shrinks,
 grows or reorders what the parent imports moves that point.
 
-The probe builds a temporary tree that links this checkout's ``src/``,
-``BENCHMARK.json`` and every ``fedbench/`` entry except ``run.py``, and
-puts in it a copy of ``fedbench/run.py`` that prints ``gc.get_count()``
-and the generation-2 collection count just before ``in_child`` forks,
-then exits.  For each workload (default: every workload of
-``BENCHMARK.json``) and each ``PYTHONHASHSEED`` 0-19 it runs that copy
-as a script, as the benchmark runs ``run.py`` (``--seed 1 --seconds
-1``).  A hash seed *trips* when the parent has run no full collection
-by the fork.  The probe prints, per workload, how many and which hash
-seeds tripped and the fork-point readings.  To see a trip on the
+The probe builds a temporary tree that holds copies of this checkout's
+``src/`` and ``fedbench/`` without their bytecode caches, links its
+``BENCHMARK.json``, and replaces the copied ``fedbench/run.py`` with
+one that prints ``gc.get_count()`` and the generation-2 collection
+count just before ``in_child`` forks, then exits.  For each workload
+(default: every workload of ``BENCHMARK.json``) and each
+``PYTHONHASHSEED`` 0-19 it runs that copy as a script, as the
+benchmark runs ``run.py`` (``--seed 1 --seconds 1``).  A hash seed
+*trips* when the parent has run no full collection by the fork.  The
+probe prints, per workload, how many and which hash seeds tripped and
+the fork-point readings.  To see a trip on the
 benchmark itself, rerun a listed seed, e.g. ``PYTHONHASHSEED=3 python3
 fedbench/run.py --workload hotspot_M --seed 1 --seconds 1``: its
 ``setup_s_unscaled`` reads tens of milliseconds above the other seeds'.
 
-Every process runs with the caller's environment and ``-B``: it reads
-the bytecode caches that exist and writes none, its results file and
-working directory are in the temporary tree, and the probe writes
-nothing under the checkout.  Whether caches exist moves the reading: a
-process that compiles every module from source allocates differently
-during import from one that loads caches.  On the bench host
-``PYTHONDONTWRITEBYTECODE=1`` is set, no cache is ever written, and
-every process compiles from source.  Compare a parent and a change
-under the same condition.  The exit status is non-zero when
-``fedbench/run.py`` does not hold the fork line exactly once or when a
-probe process fails.
+Every process runs with the caller's environment and ``-B``, so it
+writes no cache; its results file and working directory are in the
+temporary tree, and the probe writes nothing under the checkout.
+Whether caches exist moves the reading (a process that compiles every
+module from source allocates differently during import from one that
+loads caches), so the copies leave every cache behind: each process
+compiles every module from source, as on the bench host, where
+``PYTHONDONTWRITEBYTECODE=1`` is set, and the reading is the same
+whether or not the checkout holds caches.  The exit status is 2 when
+``fedbench/run.py`` does not hold the fork line exactly once, 1 when a
+probe process fails, 3 when any hash seed tripped on any workload and
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import collections
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -50,6 +53,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HASH_SEEDS = range(20)
+
+#: Exit status of a probe in which some hash seed tripped.
+TRIPPED = 3
+
+#: Left out of the copies: the bytecode caches.
+NO_CACHES = shutil.ignore_patterns("__pycache__", "*.pyc")
 
 #: The line of ``in_child`` the reading is taken before.
 ANCHOR = "    pid = os.fork()\n"
@@ -76,16 +85,13 @@ def instrument(source: str) -> str:
 
 
 def build_tree(tree: Path, run_source: str) -> Path:
-    """Link the checkout into *tree* around the instrumented
-    ``run.py``; returns the copy's path."""
-    (tree / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    """Copy the checkout's ``src/`` and ``fedbench/`` into *tree*
+    without bytecode caches, with the instrumented ``run.py``; returns
+    the copy's path."""
+    shutil.copytree(ROOT / "src", tree / "src", ignore=NO_CACHES)
+    shutil.copytree(ROOT / "fedbench", tree / "fedbench", ignore=NO_CACHES)
     (tree / "BENCHMARK.json").symlink_to(ROOT / "BENCHMARK.json")
-    fedbench = tree / "fedbench"
-    fedbench.mkdir()
-    for entry in (ROOT / "fedbench").iterdir():
-        if entry.name != "run.py":
-            (fedbench / entry.name).symlink_to(entry)
-    script = fedbench / "run.py"
+    script = tree / "fedbench" / "run.py"
     script.write_text(run_source, encoding="utf-8")
     return script
 
@@ -116,6 +122,7 @@ def main(argv: list[str]) -> int:
     workloads = argv or [w["name"] for w in json.loads(
         (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
 
+    any_tripped = False
     with tempfile.TemporaryDirectory(prefix="setup-probe-") as workdir:
         script = build_tree(Path(workdir), run_source)
         try:
@@ -131,6 +138,7 @@ def main(argv: list[str]) -> int:
                 forks = ", ".join(
                     f"{count} x{n} after {full} full"
                     for (count, full), n in sorted(counts.items()))
+                any_tripped |= bool(tripped)
                 seeds = ", ".join(map(str, tripped)) or "none"
                 print(f"{workload}: {len(tripped)}/{len(HASH_SEEDS)} hash "
                       f"seeds forked with no full collection run "
@@ -139,7 +147,7 @@ def main(argv: list[str]) -> int:
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
-    return 0
+    return TRIPPED if any_tripped else 0
 
 
 if __name__ == "__main__":

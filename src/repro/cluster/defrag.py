@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import ReproError
-from repro.orchestration.sdm_controller import SEGMENT_COPY_RATE_BPS
 from repro.sim.control import ControlContext, run_sync
 from repro.sim.engine import ProcessGenerator
 
@@ -57,7 +56,6 @@ class DefragmentationTask:
     def __init__(self, system: "DisaggregatedSystem", *,
                  interval_s: float = 0.25,
                  max_relocations_per_pass: int = 4,
-                 copy_rate_bps: float = SEGMENT_COPY_RATE_BPS,
                  power_off_emptied: bool = True,
                  planner: str = "greedy") -> None:
         if interval_s <= 0:
@@ -71,7 +69,6 @@ class DefragmentationTask:
         self.system = system
         self.interval_s = interval_s
         self.max_relocations_per_pass = max_relocations_per_pass
-        self.copy_rate_bps = copy_rate_bps
         self.power_off_emptied = power_off_emptied
         self.planner = planner
         self.report = DefragReport()
@@ -124,8 +121,7 @@ relocate_segment_process`): the single critical section on a plain
             try:
                 _entry, latency = (
                     yield from self.system.sdm.relocate_segment_process(
-                        ctx, segment_id, target_id,
-                        copy_rate_bps=self.copy_rate_bps))
+                        ctx, segment_id, target_id))
             except ReproError:
                 continue  # plan went stale while queueing; re-plan
             self.report.relocations += 1

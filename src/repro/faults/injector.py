@@ -180,10 +180,8 @@ class FaultInjector:
                  classes: Optional[Iterable[Union[FaultClass,
                                                   str]]] = None,
                  seed: int = 2018,
-                 rng: Optional[RngRegistry] = None,
                  self_heal: bool = True,
                  plan: Optional[FaultPlan] = None,
-                 metrics: Optional[AvailabilityMetrics] = None,
                  domains: Sequence[FailureDomain] = ()) -> None:
         self.federation = federation
         self.sim = federation.sim
@@ -197,11 +195,10 @@ class FaultInjector:
         #: Enabled classes, in canonical (value) order.
         self.classes = tuple(sorted(set(enabled),
                                     key=lambda c: c.value))
-        self.rng = rng if rng is not None else RngRegistry(seed)
+        self.rng = RngRegistry(seed)
         self.self_heal = self_heal
         self.plan = plan
-        self.metrics = (metrics if metrics is not None
-                        else AvailabilityMetrics(self.sim))
+        self.metrics = AvailabilityMetrics(self.sim)
         #: (class, target) -> the active fault holding it down.
         self._active: dict[tuple[FaultClass, str], FaultEvent] = {}
         #: uplink/switch target -> LinkScheduler to park on failure.

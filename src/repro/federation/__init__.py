@@ -6,7 +6,7 @@ this package federates many — each pod an independent
 plane and sharded SDM controller — under a global placement tier:
 
 * :mod:`repro.federation.placer` — locality-first tenant-to-pod
-  placement with capacity spill (pluggable scoring);
+  placement with capacity spill to the pod with the most free memory;
 * :mod:`repro.federation.controller` — the coordinator both backends
   share (routing, tenant lifecycles, migration, rebalancing over a pod
   port) and its direct port: N pods on one shared DES clock;
@@ -30,9 +30,6 @@ from repro.federation.placer import (
     GlobalPlacer,
     PodClaim,
     PodSnapshot,
-    free_capacity_score,
-    fragmentation_score,
-    queue_depth_score,
 )
 from repro.federation.rebalancer import FederationRebalancer, RebalanceReport
 
@@ -51,7 +48,4 @@ __all__ = [
     "RebalanceReport",
     "SPILL_POLICIES",
     "build_federation",
-    "free_capacity_score",
-    "fragmentation_score",
-    "queue_depth_score",
 ]

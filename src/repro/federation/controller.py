@@ -12,7 +12,7 @@ The federation adds exactly three things the pod tier cannot express:
 * **global placement** — a :class:`~repro.federation.placer.
   GlobalPlacer` routes each arriving tenant to its home pod
   (locality-first) and spills to another pod on capacity exhaustion,
-  under a pluggable scoring function;
+  preferring the one with the most unclaimed free memory;
 * **inter-pod tenant migration** — a two-phase reserve/copy/commit
   protocol (:mod:`repro.federation.migration`) built from the pod
   tier's own primitives, with rollback mirroring the cross-shard
@@ -45,7 +45,10 @@ interleave on **one shared DES clock**, while each pod keeps its own
 :class:`~repro.sim.control.ControlContext` so two pods' shard domains
 never alias onto one critical section.  It also carries the
 operational surface that needs live pods: pod failure, re-admission
-and the public ``submit`` the injector and supervisor drive.
+and the public ``submit``, the operator and test entry point that
+fedbench's tracer wraps.  The fault injector re-admits through
+``_submit_to``, and the maintenance supervisor submits ``migrate`` to
+the pod's own plane.
 
 Tenant identity is federation-scoped: requests are routed to the pod
 the tenant currently lives in, a per-tenant migration gate defers
@@ -69,7 +72,7 @@ from repro.core.builder import PodBuilder
 from repro.core.system import DisaggregatedSystem
 from repro.errors import FederationError, ReproError
 from repro.federation.messages import PodStatus, measure_pod, plane_payload
-from repro.federation.migration import InterPodMigrator, MigrationOutcome
+from repro.federation.migration import InterPodMigrator
 from repro.federation.placer import GlobalPlacer
 from repro.federation.rebalancer import FederationRebalancer
 from repro.orchestration.placement import make_placement_policy
@@ -277,17 +280,6 @@ class Federation(ABC):
         for hook in self.depart_hooks:
             hook(tenant_id, pod_id)
 
-    # -- migration ----------------------------------------------------------
-
-    def migrate_tenant_process(self, tenant_id: str,
-                               target_pod_id: str) -> ProcessGenerator:
-        """DES process: move a tenant to another pod (two-phase; see
-        :mod:`repro.federation.migration`).  Returns the
-        :class:`~repro.federation.migration.MigrationOutcome`."""
-        outcome: MigrationOutcome = yield from self.migrator.migrate_process(
-            tenant_id, target_pod_id)
-        return outcome
-
     # -- tenant lifecycles --------------------------------------------------
 
     def _tenant(self, spec: TenantSpec,
@@ -346,7 +338,6 @@ class FederationController(Federation):
     clock, reached with direct object calls."""
 
     def __init__(self, systems: Sequence[DisaggregatedSystem], *,
-                 pod_ids: Optional[Sequence[str]] = None,
                  placer: Optional[GlobalPlacer] = None,
                  interpod_link_bps: float = DEFAULT_INTERPOD_LINK_BPS,
                  rebalancer: Optional[FederationRebalancer] = None,
@@ -354,12 +345,8 @@ class FederationController(Federation):
                  batch_window_s: float = 0.001) -> None:
         if not systems:
             raise FederationError("a federation needs at least one pod")
-        ids = list(pod_ids) if pod_ids is not None else [
-            system.pod.pod_id if system.pod is not None else f"pod{index}"
-            for index, system in enumerate(systems)]
-        if len(ids) != len(systems):
-            raise FederationError(
-                f"{len(systems)} systems but {len(ids)} pod ids")
+        ids = [system.pod.pod_id if system.pod is not None else f"pod{index}"
+               for index, system in enumerate(systems)]
         if len(set(ids)) != len(ids):
             raise FederationError(f"duplicate pod ids in {ids}")
         sim = Simulator()
@@ -614,7 +601,6 @@ def build_pod_system(index: int, *,
 
 def build_federation(pod_count: int, *,
                      spill_policy: str = "least-loaded",
-                     scoring=None,
                      anti_affinity=None,
                      rebalancer: Optional[FederationRebalancer] = None,
                      interpod_link_bps: float = DEFAULT_INTERPOD_LINK_BPS,
@@ -629,7 +615,6 @@ def build_federation(pod_count: int, *,
                for index in range(pod_count)]
     return FederationController(
         systems,
-        placer=GlobalPlacer(spill_policy, scoring=scoring,
-                            anti_affinity=anti_affinity),
+        placer=GlobalPlacer(spill_policy, anti_affinity=anti_affinity),
         interpod_link_bps=interpod_link_bps, rebalancer=rebalancer,
         max_batch=max_batch, batch_window_s=batch_window_s)

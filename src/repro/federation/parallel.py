@@ -538,7 +538,6 @@ def build_parallel_federation(pod_count: int, *,
                               workers: int = 0,
                               sync_window_s: float = DEFAULT_SYNC_WINDOW_S,
                               spill_policy: str = "least-loaded",
-                              scoring=None,
                               anti_affinity=None,
                               rebalancer: Optional[
                                   FederationRebalancer] = None,
@@ -569,8 +568,7 @@ def build_parallel_federation(pod_count: int, *,
             **hardware)
         return ParallelFederationController(
             fleet, pod_ids,
-            placer=GlobalPlacer(spill_policy, scoring=scoring,
-                                anti_affinity=anti_affinity),
+            placer=GlobalPlacer(spill_policy, anti_affinity=anti_affinity),
             interpod_link_bps=interpod_link_bps,
             sync_window_s=sync_window_s, rebalancer=rebalancer)
     except BaseException:

@@ -12,10 +12,8 @@ the tenant elsewhere:
   federation baseline);
 * ``first-fit`` — the first other pod (in canonical pod-id order) whose
   free capacity fits the request;
-* ``least-loaded`` — the best-scoring other pod that fits, under a
-  pluggable scoring function (:func:`free_capacity_score`,
-  :func:`fragmentation_score`, :func:`queue_depth_score`, or any
-  ``PodSnapshot -> float`` callable; higher wins).
+* ``least-loaded`` — the other pod that fits with the most unclaimed
+  free memory (ties go to the lower pod id).
 
 Admission is **two-phase** across the federation: :meth:`~GlobalPlacer.
 reserve` records a tentative :class:`PodClaim` against the chosen pod's
@@ -70,23 +68,6 @@ class PodSnapshot:
         return self.free_cores - self.claimed_cores
 
 
-# -- scoring functions (higher is better) -----------------------------------
-
-def free_capacity_score(snapshot: PodSnapshot) -> float:
-    """Prefer the pod with the most unclaimed free memory."""
-    return float(snapshot.available_bytes)
-
-
-def fragmentation_score(snapshot: PodSnapshot) -> float:
-    """Prefer the least-fragmented pool (large requests keep fitting)."""
-    return -snapshot.fragmentation
-
-
-def queue_depth_score(snapshot: PodSnapshot) -> float:
-    """Prefer the pod whose control plane has the least backlog."""
-    return -float(snapshot.queue_depth)
-
-
 @dataclass(frozen=True)
 class PodClaim:
     """A tentative (phase-1) federation reservation against one pod."""
@@ -106,8 +87,6 @@ class GlobalPlacer:
     """Locality-first tenant-to-pod placement with capacity spill."""
 
     def __init__(self, spill_policy: str = "least-loaded",
-                 scoring: Optional[Callable[[PodSnapshot],
-                                            float]] = None,
                  anti_affinity: Optional[Callable[[str], str]] = None
                  ) -> None:
         if spill_policy not in SPILL_POLICIES:
@@ -115,9 +94,6 @@ class GlobalPlacer:
                 f"unknown spill policy {spill_policy!r}; known: "
                 f"{', '.join(SPILL_POLICIES)}")
         self.spill_policy = spill_policy
-        #: Spill scoring; ``None`` means :func:`free_capacity_score`.
-        self.scoring = (scoring if scoring is not None
-                        else free_capacity_score)
         #: tenant id -> replica/tenant-group key ("" = ungrouped).
         #: When set, placement avoids pods already hosting another
         #: member of the tenant's group (soft constraint: a group fits
@@ -163,15 +139,14 @@ class GlobalPlacer:
 
     @property
     def live_pod_ids(self) -> list[str]:
-        """Bound pods currently alive (pods without an ``alive`` flag —
-        plain test doubles — count as alive), sorted."""
+        """Bound pods currently alive, sorted."""
         return [pod_id for pod_id in self.pod_ids
-                if getattr(self._pods[pod_id], "alive", True)]
+                if self._pods[pod_id].alive]
 
     def pod_alive(self, pod_id: str) -> bool:
         """True when *pod_id* is bound and currently alive."""
         pod = self._pods.get(pod_id)
-        return pod is not None and getattr(pod, "alive", True)
+        return pod is not None and pod.alive
 
     def pod_accepting(self, pod_id: str) -> bool:
         """True when *pod_id* may receive *new* tenants: alive and not
@@ -179,8 +154,7 @@ class GlobalPlacer:
         serving its current tenants; it only leaves the admission
         pool."""
         pod = self._pods.get(pod_id)
-        return (pod is not None and getattr(pod, "alive", True)
-                and not pod.draining)
+        return pod is not None and pod.alive and not pod.draining
 
     def home_pod(self, tenant_id: str) -> str:
         """The tenant's home pod: a stable hash over the pod set.
@@ -263,7 +237,7 @@ class GlobalPlacer:
             return home
         if self.spill_policy == "first-fit":
             return preferred[0].pod_id  # snapshots() is in canonical order
-        preferred.sort(key=lambda s: (-self.scoring(s), s.pod_id))
+        preferred.sort(key=lambda s: (-s.available_bytes, s.pod_id))
         return preferred[0].pod_id
 
     def place_for_readmission(self, tenant_id: str, ram_bytes: int,
@@ -271,10 +245,11 @@ class GlobalPlacer:
         """Emergency placement for a tenant whose pod died.
 
         Ignores the spill policy and home-pod preference (the home is
-        gone); picks the best-scoring *live* pod that fits, preferring
-        anti-affinity-clean pods.  Returns ``None`` when no surviving
-        pod can take the tenant — the caller counts a re-admission
-        failure and leaves the tenant parked until repair.
+        gone); picks the accepting pod with the most unclaimed free
+        memory that fits, preferring anti-affinity-clean pods.  Returns
+        ``None`` when no surviving pod can take the tenant — the caller
+        counts a re-admission failure and leaves the tenant parked until
+        repair.
         """
         conflicted = self._conflicted_pods(tenant_id)
         fitting = [s for s in self.snapshots()
@@ -284,7 +259,7 @@ class GlobalPlacer:
                      if s.pod_id not in conflicted] or fitting
         if not preferred:
             return None
-        preferred.sort(key=lambda s: (-self.scoring(s), s.pod_id))
+        preferred.sort(key=lambda s: (-s.available_bytes, s.pod_id))
         return preferred[0].pod_id
 
     def _conflicted_pods(self, tenant_id: str) -> frozenset:

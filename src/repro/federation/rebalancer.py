@@ -48,18 +48,14 @@ class FederationRebalancer:
     """Drains overloaded pods onto underloaded ones in idle windows."""
 
     def __init__(self, *, interval_s: float = 0.5,
-                 imbalance_threshold: float = 0.25,
-                 max_migrations_per_pass: int = 1) -> None:
+                 imbalance_threshold: float = 0.25) -> None:
         if interval_s <= 0:
             raise FederationError("rebalance interval must be positive")
         if not 0.0 < imbalance_threshold <= 1.0:
             raise FederationError(
                 "imbalance threshold must be in (0, 1]")
-        if max_migrations_per_pass < 1:
-            raise FederationError("need >= 1 migration per pass")
         self.interval_s = interval_s
         self.imbalance_threshold = imbalance_threshold
-        self.max_migrations_per_pass = max_migrations_per_pass
         self.report = RebalanceReport()
         self.federation: Optional["Federation"] = None
 
@@ -80,25 +76,25 @@ class FederationRebalancer:
     # -- one draining pass ---------------------------------------------------
 
     def pass_process(self) -> ProcessGenerator:
-        """One pass: migrate up to the per-pass budget of tenants."""
+        """One pass: plan and run at most one move."""
         self.report.passes += 1
-        for _ in range(self.max_migrations_per_pass):
-            plan = self._plan_move()
-            if plan is None:
-                break
-            tenant_id, target_pod_id = plan
-            try:
-                outcome = yield from self.federation.migrate_tenant_process(
-                    tenant_id, target_pod_id)
-            except ReproError:
-                self.report.rollbacks += 1
-                break  # plan went stale (tenant departed/moved); re-plan
-            if outcome.committed:
-                self.report.migrations += 1
-                self.report.bytes_drained += outcome.bytes_copied
-            else:
-                self.report.rollbacks += 1
-                break
+        plan = self._plan_move()
+        if plan is None:
+            return self.report
+        tenant_id, target_pod_id = plan
+        try:
+            outcome = yield from self.federation.migrator.migrate_process(
+                tenant_id, target_pod_id)
+        except ReproError:
+            # The plan went stale (tenant departed or moved); the next
+            # pass re-plans.
+            self.report.rollbacks += 1
+            return self.report
+        if outcome.committed:
+            self.report.migrations += 1
+            self.report.bytes_drained += outcome.bytes_copied
+        else:
+            self.report.rollbacks += 1
         return self.report
 
     def _plan_move(self) -> Optional[tuple[str, str]]:

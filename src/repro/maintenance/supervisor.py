@@ -41,7 +41,6 @@ current rack rolls back and the pod re-enters the admission pool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import MaintenanceError, ReproError
 from repro.faults.metrics import FaultClass, FaultEvent
@@ -98,17 +97,9 @@ class _ActiveDrain:
 class MaintenanceSupervisor:
     """Runs rolling drains over a federation's pods and racks."""
 
-    def __init__(self, federation, *,
-                 injector=None,
-                 copy_rate_bps: float = SEGMENT_COPY_RATE_BPS,
-                 verify_rate_bps: Optional[float] = None) -> None:
+    def __init__(self, federation, *, injector=None) -> None:
         self.federation = federation
         self.sim = federation.sim
-        self.copy_rate_bps = copy_rate_bps
-        #: Read-back verification bandwidth; defaults to the copy rate
-        #: (every byte is read once more before commit).
-        self.verify_rate_bps = (verify_rate_bps if verify_rate_bps
-                                else copy_rate_bps)
         self._drains: list[_ActiveDrain] = []
         self.reports: list[DrainReport] = []
         if injector is not None:
@@ -221,13 +212,13 @@ class MaintenanceSupervisor:
         source_brick = record.segment.memory_brick_id
         size = record.segment.size
         yield from sdm.relocate_segment_process(
-            pod.plane.ctx, segment_id, target_brick,
-            copy_rate_bps=self.copy_rate_bps)
+            pod.plane.ctx, segment_id, target_brick)
         # Verify: the controller record must point at the target and
         # the target allocator must carry a live span of exactly the
-        # segment's size at its offset.  The read-back pass is charged
-        # at verify_rate_bps — a swap only counts after verification.
-        yield self.sim.timeout(transfer_time(size, self.verify_rate_bps))
+        # segment's size at its offset.  The read-back pass reads every
+        # byte once more at the copy rate — a swap only counts after
+        # verification.
+        yield self.sim.timeout(transfer_time(size, SEGMENT_COPY_RATE_BPS))
         moved = sdm.segment_record(segment_id)
         target_entry = pod.system.sdm.registry.memory(target_brick)
         span_ok = any(
@@ -258,8 +249,7 @@ class MaintenanceSupervisor:
                 continue
             try:
                 yield from sdm.relocate_segment_process(
-                    pod.plane.ctx, segment_id, source_brick,
-                    copy_rate_bps=self.copy_rate_bps)
+                    pod.plane.ctx, segment_id, source_brick)
                 report.rollback_moves += 1
             except ReproError:
                 continue
@@ -473,7 +463,7 @@ class MaintenanceSupervisor:
                     f"({ram} bytes, {vcpus} vcpus)")
                 return False
             try:
-                outcome = yield from fed.migrate_tenant_process(
+                outcome = yield from fed.migrator.migrate_process(
                     tenant_id, target)
             except ReproError as exc:
                 if fed._tenant_pod.get(tenant_id) is None:

@@ -9,9 +9,11 @@ Section IV.C assigns the SDM-C four roles:
   d) generate all the necessary configurations and push them via
      appropriate interfaces to all involved devices.
 
-The controller implements the :class:`~repro.software.scaleup.MemoryAllocator`
-protocol so :class:`~repro.software.scaleup.ScaleUpController` instances can
-drive it, and reuses/establishes optical circuits through the
+With the sharded controller's ``allocate_process``, the controller
+implements the :class:`~repro.software.scaleup.MemoryAllocator` protocol
+(``allocate_process``, ``release_process``) so
+:class:`~repro.software.scaleup.ScaleUpController` instances can drive
+it, and reuses/establishes optical circuits through the
 :class:`~repro.network.optical.topology.OpticalFabric`.
 
 Reservation is a *critical section* — the "safely" in roles (b) and (c).
@@ -183,7 +185,7 @@ ShardedSdmController`, the class builders make, adds the reservation
         return brick_ids
 
     # ------------------------------------------------------------------
-    # MemoryAllocator protocol (consumed by ScaleUpController)
+    # Allocation and release (ScaleUpController drives their processes)
     # ------------------------------------------------------------------
 
     def allocate(self, compute_brick_id: str, vm_id: str,
@@ -442,8 +444,7 @@ ShardedSdmController`, the class builders make, adds the reservation
     # Defragmentation support: move a segment's bytes to another brick
     # ------------------------------------------------------------------
 
-    def relocate_segment(self, segment_id: str, target_memory_brick_id: str,
-                         copy_rate_bps: float = SEGMENT_COPY_RATE_BPS
+    def relocate_segment(self, segment_id: str, target_memory_brick_id: str
                          ) -> tuple[SegmentEntry, float]:
         """Move a live segment's backing bytes onto another dMEMBRICK.
 
@@ -459,11 +460,11 @@ ShardedSdmController`, the class builders make, adds the reservation
         controller's ``relocate_segment_process``.  Returns
         ``(new_entry, latency_s)`` where the latency covers reservation,
         target power-on, circuit setup, the byte copy at
-        *copy_rate_bps*, glue reprogramming, and config generation.
+        :data:`SEGMENT_COPY_RATE_BPS`, glue reprogramming, and config
+        generation.
         """
         return run_sync(lambda ctx: self.relocate_segment_process(
-            ctx, segment_id, target_memory_brick_id,
-            copy_rate_bps=copy_rate_bps))
+            ctx, segment_id, target_memory_brick_id))
 
     def _relocate_validate(self, segment_id: str,
                            target_memory_brick_id: str):
@@ -492,7 +493,6 @@ ShardedSdmController`, the class builders make, adds the reservation
 
     def _relocate_commit(self, record: _SegmentRecord, compute_entry,
                          target_entry, new_offset: int,
-                         copy_rate_bps: float,
                          latency: float) -> tuple[SegmentEntry, float]:
         """The relocation work itself, with the target capacity already
         granted at *new_offset* (allocator grant or two-phase hold).
@@ -503,7 +503,7 @@ ShardedSdmController`, the class builders make, adds the reservation
             compute_entry.brick, target_entry.brick, latency)
 
         # The bytes actually move (the one cost repointing never pays).
-        latency += transfer_time(segment.size, copy_rate_bps)
+        latency += transfer_time(segment.size, SEGMENT_COPY_RATE_BPS)
 
         new_entry = SegmentEntry(
             segment_id=segment.segment_id,

@@ -58,7 +58,6 @@ from repro.orchestration.registry import ResourceRegistry
 from repro.orchestration.requests import VmAllocationRequest
 from repro.orchestration.sdm_controller import (
     DEFAULT_SDM_TIMINGS,
-    SEGMENT_COPY_RATE_BPS,
     SdmController,
     SdmTimings,
 )
@@ -565,8 +564,7 @@ class ShardedSdmController(SdmController):
 
     def relocate_segment_process(self, ctx: ControlContext,
                                  segment_id: str,
-                                 target_memory_brick_id: str,
-                                 copy_rate_bps: float = SEGMENT_COPY_RATE_BPS
+                                 target_memory_brick_id: str
                                  ) -> ProcessGenerator:
         """DES process: move a segment's bytes, two-phase across shards.
 
@@ -594,7 +592,7 @@ class ShardedSdmController(SdmController):
             try:
                 entry, latency = self._relocate_commit(
                     record, compute_entry, target_entry, hold.offset,
-                    copy_rate_bps, latency)
+                    latency)
             except ReproError:
                 self._abort_hold(hold)
                 raise

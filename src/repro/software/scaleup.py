@@ -20,9 +20,9 @@ software layer stays below the orchestration layer.
 Like the SDM controller, every pipeline exists in two forms: a
 ``*_process`` DES generator that charges each step on a shared
 :class:`~repro.sim.control.ControlContext` clock (queueing on the SDM-C
-critical section where the allocator supports it), and the historical
-synchronous method, now a zero-contention wrapper that runs the process
-alone on a private one-shot simulator.
+reservation domains), and the historical synchronous method, now a
+zero-contention wrapper that runs the process alone on a private
+one-shot simulator.
 """
 
 from __future__ import annotations
@@ -63,13 +63,17 @@ class AttachTicket:
 class MemoryAllocator(Protocol):
     """The slice of the SDM controller the scale-up path consumes."""
 
-    def allocate(self, compute_brick_id: str, vm_id: str,
-                 size_bytes: int) -> AttachTicket:
-        """Reserve remote memory + circuit for a compute brick."""
+    def allocate_process(self, ctx: ControlContext, compute_brick_id: str,
+                         vm_id: str, size_bytes: int, *,
+                         charge_config: bool = True) -> ProcessGenerator:
+        """DES process: reserve remote memory + circuit for a compute
+        brick; returns the :class:`AttachTicket`."""
         ...
 
-    def release(self, segment_id: str) -> float:
-        """Release a segment; returns orchestration latency."""
+    def release_process(self, ctx: ControlContext,
+                        segment_id: str) -> ProcessGenerator:
+        """DES process: release a segment; returns the orchestration
+        latency."""
         ...
 
 
@@ -135,8 +139,7 @@ class ScaleUpController:
         """DES process form of :meth:`scale_up`.
 
         Each pipeline step is charged on the shared clock; the SDM
-        reservation queues on the controller's shard domains of *ctx*
-        when the allocator exposes ``allocate_process``.
+        reservation queues on the controller's shard domains of *ctx*.
         ``charge_config`` is forwarded to the allocator so a batching
         control plane can amortize configuration generation across a
         batch.  ``on_commit`` (when given) is invoked the moment the
@@ -147,8 +150,8 @@ class ScaleUpController:
         """
         vm = self.hypervisor.vm(request.vm_id)
         yield ctx.sim.timeout(CONTROLLER_OVERHEAD_S)
-        ticket = yield from self._allocate_on(
-            ctx, request.vm_id, request.size_bytes,
+        ticket = yield from self.allocator.allocate_process(
+            ctx, self.brick_id, request.vm_id, request.size_bytes,
             charge_config=charge_config)
         if on_commit is not None:
             on_commit()
@@ -180,7 +183,8 @@ class ScaleUpController:
                 rollback_s += self.agent.unprogram_segment(
                     segment.segment_id)
             yield ctx.sim.timeout(rollback_s)
-            yield from self._release_on(ctx, segment.segment_id)
+            yield from self.allocator.release_process(ctx,
+                                                      segment.segment_id)
             segment.release()
             raise
         steps["hypervisor"] = hyp_latency
@@ -211,42 +215,12 @@ class ScaleUpController:
         steps["glue_config"] = self.agent.unprogram_segment(segment_id)
         yield ctx.sim.timeout(steps["hypervisor"] + steps["kernel_detach"]
                               + steps["glue_config"])
-        steps["sdm"] = yield from self._release_on(ctx, segment_id)
+        steps["sdm"] = yield from self.allocator.release_process(
+            ctx, segment_id)
         segment.release()
         del self._attached[segment_id]
         self.requests_served += 1
         return steps
-
-    # -- allocator dispatch ------------------------------------------------------
-
-    def _allocate_on(self, ctx: ControlContext, vm_id: str, size_bytes: int,
-                     *, charge_config: bool) -> ProcessGenerator:
-        """Allocate through the DES path when the allocator has one.
-
-        Allocators implementing only the synchronous protocol (e.g. test
-        stubs) are charged as an uncontended timeout instead.
-        """
-        process = getattr(self.allocator, "allocate_process", None)
-        if process is not None:
-            ticket = yield from process(ctx, self.brick_id, vm_id,
-                                        size_bytes,
-                                        charge_config=charge_config)
-        else:
-            ticket = self.allocator.allocate(self.brick_id, vm_id,
-                                             size_bytes)
-            yield ctx.sim.timeout(ticket.control_latency_s)
-        return ticket
-
-    def _release_on(self, ctx: ControlContext,
-                    segment_id: str) -> ProcessGenerator:
-        """Release through the DES path when the allocator has one."""
-        process = getattr(self.allocator, "release_process", None)
-        if process is not None:
-            latency = yield from process(ctx, segment_id)
-        else:
-            latency = self.allocator.release(segment_id)
-            yield ctx.sim.timeout(latency)
-        return latency
 
     def attached_segments(self) -> list[RemoteSegment]:
         return [segment for segment, _dimm in self._attached.values()]

@@ -22,8 +22,8 @@ source before:
   federation's clock.
 
 Runtime-only collaborators that cannot live in a serializable spec —
-rebalancer instances, scoring callables, the worker-process count —
-pass through as keyword arguments.
+a rebalancer instance, the worker-process count — pass through as
+keyword arguments.
 """
 
 from __future__ import annotations
@@ -185,9 +185,8 @@ class CompiledTopology:
 def compile_spec(source: Union[str, Mapping, TopologySpec], *,
                  workers: Optional[int] = None,
                  sync_window_s: Optional[float] = None,
-                 rebalancer: Optional[FederationRebalancer] = None,
-                 scoring=None,
-                 anti_affinity=None) -> CompiledTopology:
+                 rebalancer: Optional[FederationRebalancer] = None
+                 ) -> CompiledTopology:
     """Validate *source* (template name, spec file path, dict or
     :class:`TopologySpec`) and build it.
 
@@ -195,15 +194,12 @@ def compile_spec(source: Union[str, Mapping, TopologySpec], *,
     :class:`~repro.federation.controller.FederationController`;
     ``workers>=0`` compiles onto the message-passing parallel backend
     (0 = its in-process fleet), with *sync_window_s* overriding the
-    spec's ``fabric.sync_window_s`` lookahead.  *rebalancer*,
-    *scoring* and *anti_affinity* are runtime collaborators a
-    serializable spec cannot carry; when the spec sets
-    ``replica_groups`` the placer's replica-group anti-affinity is
-    wired in automatically.
+    spec's ``fabric.sync_window_s`` lookahead.  *rebalancer* is a
+    runtime collaborator a serializable spec cannot carry.  When the
+    spec sets ``replica_groups``, the placer keeps each replica group
+    on distinct pods (:func:`~repro.cluster.trace.replica_group_of`).
     """
     spec = load_spec(source)
-    if anti_affinity is None and spec.replica_groups is not None:
-        anti_affinity = replica_group_of
     pod_kwargs = dict(
         racks_per_pod=spec.racks_per_pod,
         uplinks_per_rack=spec.fabric.uplinks_per_rack,
@@ -216,8 +212,8 @@ def compile_spec(source: Union[str, Mapping, TopologySpec], *,
         section_bytes=spec.section_bytes,
         placement=spec.placement,
         spill_policy=spec.spill_policy,
-        scoring=scoring,
-        anti_affinity=anti_affinity,
+        anti_affinity=(replica_group_of if spec.replica_groups is not None
+                       else None),
         rebalancer=rebalancer,
         interpod_link_bps=spec.fabric.interpod_link_bps,
         max_batch=spec.control.max_batch,

@@ -41,7 +41,7 @@ def run_migration(fed, tenant_id, target_pod_id):
     holder = {}
 
     def driver():
-        outcome = yield from fed.migrate_tenant_process(
+        outcome = yield from fed.migrator.migrate_process(
             tenant_id, target_pod_id)
         holder["outcome"] = outcome
 
@@ -195,7 +195,7 @@ class TestRollback:
 
         def bad(target):
             def driver():
-                yield from fed.migrate_tenant_process("t0", target)
+                yield from fed.migrator.migrate_process("t0", target)
             fed.sim.process(driver())
             with pytest.raises(FederationError):
                 fed.sim.run()
@@ -224,7 +224,7 @@ class TestFifoAcrossReassignment:
 
         def mover():
             yield fed.sim.timeout(0.001)
-            yield from fed.migrate_tenant_process("t0", "pod1")
+            yield from fed.migrator.migrate_process("t0", "pod1")
 
         fed.sim.process(client())
         fed.sim.process(mover())
@@ -271,7 +271,7 @@ class TestConservationProperty:
         for index, (home, _size, move) in enumerate(tenants):
             if move:
                 def driver(tenant=f"t{index}", target=f"pod{1 - home}"):
-                    yield from fed.migrate_tenant_process(tenant, target)
+                    yield from fed.migrator.migrate_process(tenant, target)
                 fed.sim.process(driver())
         fed.sim.run()
 

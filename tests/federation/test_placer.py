@@ -1,4 +1,4 @@
-"""Unit tests for the global placer (scoring, spill, claims ledger)."""
+"""Unit tests for the global placer (spill, claims ledger)."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import FederationError
-from repro.federation import (
-    GlobalPlacer,
-    build_federation,
-    free_capacity_score,
-    fragmentation_score,
-    queue_depth_score,
-)
+from repro.federation import GlobalPlacer, build_federation
 from repro.federation.messages import PodStatus
 from repro.units import gib
 
@@ -105,28 +99,9 @@ class TestPlacement:
         # The home pod's own admission pipeline records the rejection.
         assert fed.placer.place("t", gib(2), 1, home="pod0") == "pod0"
 
-    def test_custom_scoring_is_honoured(self):
-        # Score pods by id suffix, inverted: pod1 beats pod2.
-        def backwards(snapshot):
-            return -int(snapshot.pod_id[-1])
-        fed = build_fed(3, scoring=backwards)
-        fed.placer.reserve("pod0", gib(16), 1)
-        assert fed.placer.place("t", gib(2), 1, home="pod0") == "pod1"
-
     def test_invalid_policy_rejected(self):
         with pytest.raises(FederationError):
             GlobalPlacer(spill_policy="random")
-
-
-class TestScoringFunctions:
-    def test_builtin_scores_orient_correctly(self):
-        fed = build_fed(2)
-        fed.placer.reserve("pod0", gib(8), 1)
-        empty = fed.placer.snapshot("pod1")
-        claimed = fed.placer.snapshot("pod0")
-        assert free_capacity_score(empty) > free_capacity_score(claimed)
-        assert fragmentation_score(empty) == 0.0
-        assert queue_depth_score(empty) == 0.0
 
 
 class TestLivenessAndReadmission:
@@ -253,7 +228,7 @@ def two_pass_place(placer, tenant_id, ram_bytes, vcpus, home):
         return home
     if placer.spill_policy == "first-fit":
         return preferred[0].pod_id
-    preferred.sort(key=lambda s: (-placer.scoring(s), s.pod_id))
+    preferred.sort(key=lambda s: (-s.available_bytes, s.pod_id))
     return preferred[0].pod_id
 
 
@@ -263,6 +238,9 @@ PLACEMENT_TABLE = {
                    "pod2": dict(free_gib=4)}, ()),
     "spill": ({"pod0": dict(free_gib=1), "pod1": dict(free_gib=4),
                "pod2": dict(free_gib=8)}, ()),
+    # Equal free memory on both spill targets: the lower pod id wins.
+    "spill-tie": ({"pod0": dict(free_gib=1), "pod1": dict(free_gib=4),
+                   "pod2": dict(free_gib=4)}, ()),
     "spill-on-cores": ({"pod0": dict(free_gib=16, free_cores=0),
                         "pod1": dict(free_gib=2), "pod2": dict(free_gib=2)},
                        ()),

@@ -114,14 +114,16 @@ class TestSdmAgent:
 
 
 class _StubAllocator:
-    """Deterministic MemoryAllocator for controller tests."""
+    """Deterministic MemoryAllocator for controller tests: each process
+    charges its fixed latency as one timeout."""
 
     def __init__(self, kernel: BaremetalKernel) -> None:
         self.kernel = kernel
         self.released: list[str] = []
         self._count = 0
 
-    def allocate(self, compute_brick_id, vm_id, size_bytes):
+    def allocate_process(self, ctx, compute_brick_id, vm_id, size_bytes, *,
+                         charge_config=True):
         segment = RemoteSegment(
             f"seg-{self._count}", "mb0", offset=self._count * size_bytes,
             size=size_bytes, compute_brick_id=compute_brick_id, vm_id=vm_id)
@@ -132,10 +134,13 @@ class _StubAllocator:
             remote_brick_id="mb0", remote_offset=segment.offset,
             egress_port_id=f"{compute_brick_id}.cbn0")
         self._count += 1
-        return AttachTicket(segment, entry, control_latency_s=0.01)
+        ticket = AttachTicket(segment, entry, control_latency_s=0.01)
+        yield ctx.sim.timeout(ticket.control_latency_s)
+        return ticket
 
-    def release(self, segment_id):
+    def release_process(self, ctx, segment_id):
         self.released.append(segment_id)
+        yield ctx.sim.timeout(0.005)
         return 0.005
 
 

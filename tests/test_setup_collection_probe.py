@@ -3,7 +3,8 @@
 ``benchmarks/setup_collection_probe.py`` instruments a copy of
 ``fedbench/run.py`` at its fork line and runs it as a script; a
 ``run.py`` without that line, or with it twice, is refused before any
-process runs.
+process runs.  The tree it runs in holds no bytecode cache, and its
+exit status says whether any hash seed tripped.
 """
 
 from __future__ import annotations
@@ -52,6 +53,44 @@ def test_one_reading_of_the_instrumented_script(tmp_path):
     assert len(reading["fork_count"]) == 3
     assert reading["full_collections"] >= 0
     assert not (tmp_path / "results.jsonl").exists()
+
+
+def test_the_tree_holds_no_bytecode_cache(tmp_path, monkeypatch):
+    probe = load_probe()
+    checkout = tmp_path / "checkout"
+    for package in ("src/repro", "fedbench"):
+        (checkout / package / "__pycache__").mkdir(parents=True)
+        (checkout / package / "__init__.py").write_text("")
+        (checkout / package / "__pycache__" / "__init__.cpython-311.pyc"
+         ).write_bytes(b"cached")
+        (checkout / package / "stray.pyc").write_bytes(b"cached")
+    (checkout / "fedbench" / "run.py").write_text("original")
+    (checkout / "BENCHMARK.json").write_text("{}")
+    monkeypatch.setattr(probe, "ROOT", checkout)
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    script = probe.build_tree(tree, "instrumented")
+    assert script.read_text() == "instrumented"
+    assert (tree / "src" / "repro" / "__init__.py").is_file()
+    assert (tree / "fedbench" / "__init__.py").is_file()
+    cached = [path for path in tree.rglob("*")
+              if path.name == "__pycache__" or path.suffix == ".pyc"]
+    assert cached == []
+
+
+@pytest.mark.parametrize("tripped_seed, count, status",
+                         [(None, "0/20", 0), (7, "1/20", 3)])
+def test_the_exit_status_reports_a_trip(monkeypatch, capsys,
+                                        tripped_seed, count, status):
+    probe = load_probe()
+
+    def reading(script, workload, hash_seed):
+        full = 0 if hash_seed == tripped_seed else 1
+        return {"fork_count": [500, 0, 0], "full_collections": full}
+
+    monkeypatch.setattr(probe, "probe", reading)
+    assert probe.main(["hotspot_M"]) == status
+    assert capsys.readouterr().out.startswith(f"hotspot_M: {count} ")
 
 
 def test_the_probe_refuses_a_run_script_without_its_fork_line(tmp_path):
