@@ -20,8 +20,8 @@ from repro.cluster.trace import poisson_trace
 from repro.faults import FaultClass, FaultInjector, FaultPlan, ScriptedFault
 from repro.federation.parallel import federation_fingerprint
 from repro.federation.rebalancer import FederationRebalancer
-from repro.topology import compile_spec
-from repro.units import gib
+from repro.topology import compile_spec, load_spec
+from repro.units import gib, mib
 
 #: Backend (``compile_spec`` workers argument) -> expected digest.
 GOLDEN = {
@@ -220,3 +220,51 @@ def test_evacuation_paths_match_golden_fingerprint(case):
             tuple(report.racks_retired)) == counters
     assert (drained[0], _placement_digest(federation)) == placements
     assert federation_fingerprint(stats) == digest
+
+
+#: The ballooning serve on template ``L``: its fingerprint, the events
+#: it processed and, per pod, the ``repr`` of the control plane's
+#: sampled figures, which the fingerprint does not fold.
+GOLDEN_BALLOON = (
+    "8869b8e3360efa292534f386141c5825fed97a57293d549d54dd45b5585eb57c",
+    12947,
+    {
+        "pod0": ("8", "1.035", "0.09773734362004687",
+                 "0.029985919098822325", "0.40010169042321336"),
+        "pod1": ("4", "0.3", "0.07477330099489274",
+                 "0.03273191179150721", "0.3287128122612737"),
+        "pod2": ("8", "1.145", "0.0950651319939455",
+                 "0.05040322580645161", "0.3770840324355801"),
+        "pod3": ("6", "0.59", "0.08018497224473282",
+                 "0.029166666666666674", "0.3457673871730049"),
+    },
+)
+
+
+def test_ballooning_serve_on_template_l_matches_golden_figures():
+    """Every tenant scales up and then down by 512 MiB on template
+    ``L``, so the pin covers hotplug, the per-batch fragmentation
+    sample and the per-submit queue-depth sample."""
+    spec = load_spec("L").override(maintenance={"windows": []})
+    pods = list(spec.pod_ids)
+    compiled = compile_spec(spec, rebalancer=FederationRebalancer(
+        interval_s=0.25, imbalance_threshold=0.2))
+    trace = poisson_trace(
+        200, 100.0, ram_bytes=gib(2), mean_lifetime_s=0.8,
+        scale_fraction=1.0, scale_bytes=mib(512), seed=31,
+        name="golden-l")
+    try:
+        stats = compiled.federation.serve_trace(
+            trace, home_of=lambda spec: pods[
+                zlib.crc32(spec.tenant_id.encode()) % len(pods)])
+    finally:
+        compiled.close()
+    # The pin must keep covering the path it names.
+    assert len(stats.records("scale_up")) == len(trace.tenants)
+    digest, events, figures = GOLDEN_BALLOON
+    assert federation_fingerprint(stats) == digest
+    assert compiled.federation.sim.events_processed == events
+    assert {pod_id: (repr(pod.max_queue_depth), repr(pod.mean_queue_depth),
+                     repr(pod.peak_fragmentation),
+                     repr(pod.final_fragmentation), repr(pod.utilization))
+            for pod_id, pod in stats.pod_stats.items()} == figures
