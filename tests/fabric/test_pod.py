@@ -169,6 +169,21 @@ class TestPodFabric:
         assert pod.switch.cross_connect_count == 0
         assert fabric.circuit_between(compute0, memory1) is None
 
+    def test_circuit_between_returns_the_oldest_inter_rack_circuit(self):
+        _pod, fabric, bricks = build_pod()
+        compute0, _m0 = bricks["p0.rack0"]
+        _c1, memory1 = bricks["p0.rack1"]
+        older = fabric.connect(compute0, memory1)
+        newer = fabric.connect(compute0, memory1)
+        assert older.circuit_id != newer.circuit_id
+        for a, b in ((compute0, memory1), (memory1, compute0)):
+            assert fabric.circuit_between(a, b) is older
+        fabric.disconnect(older)
+        for a, b in ((compute0, memory1), (memory1, compute0)):
+            assert fabric.circuit_between(a, b) is newer
+        fabric.disconnect(newer)
+        assert fabric.circuit_between(compute0, memory1) is None
+
     def test_uplink_exhaustion_raises_circuit_error(self):
         _pod, fabric, bricks = build_pod(uplinks=1)
         compute0, memory0 = bricks["p0.rack0"]

@@ -120,3 +120,10 @@ class TestQueries:
         assert manager.launch_power_dbm("cb0.cbn0") == -3.7
         with pytest.raises(CircuitError):
             manager.launch_power_dbm("ghost")
+
+    def test_attach_takes_the_lowest_free_port(self, manager):
+        assert manager.attach_endpoint("cb1.cbn0", -3.7) == 2
+        manager.switch.detach(0)
+        assert manager.attach_endpoint("cb2.cbn0", -3.7) == 0
+        assert manager.attach_endpoint("cb3.cbn0", -3.7) == 3
+        assert manager.switch.port_of("cb2.cbn0") == 0

@@ -91,6 +91,20 @@ class TestAttachments:
         switch.attach(7, "b")
         assert switch.free_attachment_ports() == [1, 2, 3, 4, 5, 6]
 
+    def test_port_of_is_the_first_attached_port_of_a_label(self, switch):
+        switch.attach(5, "a")
+        switch.attach(2, "a")
+        assert switch.port_of("a") == 5
+        switch.detach(5)
+        assert switch.port_of("a") == 2
+        switch.attach(5, "a")
+        assert switch.port_of("a") == 2
+        switch.detach(2)
+        assert switch.port_of("a") == 5
+        switch.detach(5)
+        with pytest.raises(CircuitError):
+            switch.port_of("a")
+
 
 class TestPower:
     def test_draw_follows_ports_in_use(self, switch):

@@ -80,6 +80,20 @@ class TestConnectChannels:
         with pytest.raises(CircuitError, match="busy"):
             fabric.connect_channels(compute_brick, 0, memory_brick, 1)
 
+    def test_circuit_between_returns_the_oldest_live_circuit(
+            self, fabric, compute_brick, memory_brick):
+        older = fabric.connect_channels(compute_brick, 1, memory_brick, 2)
+        newer = fabric.connect_channels(compute_brick, 3, memory_brick, 4)
+        for a, b in ((compute_brick, memory_brick),
+                     (memory_brick, compute_brick)):
+            assert fabric.circuit_between(a, b) is older
+        fabric.disconnect(older)
+        for a, b in ((compute_brick, memory_brick),
+                     (memory_brick, compute_brick)):
+            assert fabric.circuit_between(a, b) is newer
+        fabric.disconnect(newer)
+        assert fabric.circuit_between(compute_brick, memory_brick) is None
+
 
 class TestDisconnect:
     def test_frees_everything(self, fabric, compute_brick, memory_brick):

@@ -322,6 +322,20 @@ class TestSimulatorRun:
         sim.run()
         assert order == ["a", "b", "c"]
 
+    def test_zero_delay_succeed_fires_between_same_instant_timeouts(
+            self, sim):
+        order = []
+        first = sim.timeout(0)
+        event = sim.event()
+        event.succeed()
+        last = sim.timeout(0)
+        for name, fired in (("first", first), ("event", event),
+                            ("last", last)):
+            fired.callbacks.append(
+                lambda _fired, name=name: order.append(name))
+        sim.run()
+        assert order == ["first", "event", "last"]
+
     def test_schedule_into_past_rejected(self, sim):
         event = sim.event()
         with pytest.raises(SimulationError):
@@ -349,6 +363,15 @@ class TestDelayValidation:
         event = sim.event()
         with pytest.raises(SimulationError):
             sim.schedule(event, delay=float("inf"))
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("trigger", ["succeed", "fail"])
+    def test_trigger_delay_rejected(self, sim, trigger, delay):
+        event = sim.event()
+        args = (RuntimeError("boom"),) if trigger == "fail" else ()
+        with pytest.raises(SimulationError):
+            getattr(event, trigger)(*args, delay=delay)
+        assert sim.queue_size == 0
 
 
 class TestConditionDetach:
