@@ -203,19 +203,18 @@ class ControlPlane:
             raise OrchestrationError(
                 f"unknown request kind {kind!r}; known: "
                 f"{', '.join(sorted(REQUEST_KINDS))}")
-        request = ClusterRequest(kind=kind, tenant_id=tenant_id,
-                                 payload=payload)
+        sim = self.sim
+        now = sim._now
+        request = ClusterRequest(kind, tenant_id, payload)
         # Control-plane backlog = requests still in the admission store
         # plus requests already claimed by a worker but queued on a
         # SDM-C reservation critical section (a shard domain).
         depth = (self.admission.size
                  + self.ctx.total_reservation_queue_depth)
-        request.record = RequestRecord(
-            tenant_id=tenant_id, kind=kind, submitted_s=self.sim.now,
-            queue_depth_at_submit=depth)
-        request.done = self.sim.event()
-        request.executed = executed = self.sim.event()
-        request.committed = self.sim.event()
+        request.record = record = RequestRecord(tenant_id, kind, now, depth)
+        request.done = Event(sim)
+        request.executed = executed = Event(sim)
+        request.committed = Event(sim)
         # Same-tenant FIFO: gate on the tenant's previous request having
         # *executed*, so a second worker (or a later slot of the same
         # batch) can never apply same-tenant operations out of order.
@@ -227,9 +226,9 @@ class ControlPlane:
             if tails.get(tenant_id) is event:
                 del tails[tenant_id]
         executed.callbacks.append(untail)
-        self.stats.records.append(request.record)
-        self.stats.queue_depth_samples.append(
-            TimedSample(self.sim.now, depth))
+        stats = self.stats
+        stats.records.append(record)
+        stats.queue_depth_samples.append(TimedSample(now, depth))
         self.admission.put(request)
         return request
 
@@ -411,14 +410,7 @@ class ControlPlane:
     def _fragmentation(self) -> float:
         """Mean free-space fragmentation across healthy memory bricks,
         over the registry's per-brick list."""
-        fragmentations = self.system.sdm.registry.fragmentations()
-        if not fragmentations:
-            return 0.0
-        total = 0.0
-        # Not sum(): Python >= 3.12 compensates float sums.
-        for value in fragmentations:
-            total += value
-        return total / len(fragmentations)
+        return self.system.sdm.registry.mean_fragmentation()
 
     # -- failure reactions --------------------------------------------------
 

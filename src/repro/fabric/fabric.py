@@ -22,7 +22,13 @@ from repro.hardware.bricks import Brick
 from repro.network.optical.ber import ReceiverModel
 from repro.network.optical.link import LinkBudget, OpticalLink
 from repro.network.optical.switch import OpticalCircuitSwitch
-from repro.network.optical.topology import FabricCircuit, OpticalFabric
+from repro.network.optical.topology import (
+    FabricCircuit,
+    OpticalFabric,
+    pair_index_add,
+    pair_index_discard,
+    pair_key,
+)
 
 #: Mated connector pairs on an inter-rack light path: one at each brick
 #: endpoint plus one at each uplink patch panel.
@@ -94,6 +100,8 @@ class PodFabric:
         #: brick_id -> rack_id, filled at attach time.
         self._locations: dict[str, str] = {}
         self._inter_circuits: dict[str, FabricCircuit] = {}
+        #: Inter-rack circuits by unordered brick-id pair, oldest first.
+        self._inter_pairs: dict[tuple[str, str], list[FabricCircuit]] = {}
         self._ids = itertools.count()
 
     # -- wiring --------------------------------------------------------------------
@@ -205,6 +213,7 @@ class PodFabric:
         fabric_circuit = FabricCircuit(circuit, brick_a, port_a,
                                        brick_b, port_b, hop_path=hop_path)
         self._inter_circuits[circuit_id] = fabric_circuit
+        pair_index_add(self._inter_pairs, fabric_circuit)
         return fabric_circuit
 
     def _directional_link(self, name: str, source_rack: str,
@@ -235,7 +244,8 @@ class PodFabric:
             self.pod.release_uplink(circuit.uplink_b)
             fabric_circuit.port_a.disconnect()
             circuit.active = False
-            del self._inter_circuits[circuit_id]
+            pair_index_discard(self._inter_pairs,
+                               self._inter_circuits.pop(circuit_id))
             return
         rack_id = self.rack_id_of(fabric_circuit.brick_a)
         self.rack_fabric(rack_id).disconnect(fabric_circuit)
@@ -248,11 +258,9 @@ class PodFabric:
         rack_b = self.rack_id_of(brick_b)
         if rack_a == rack_b:
             return self.rack_fabric(rack_a).circuit_between(brick_a, brick_b)
-        for fc in self._inter_circuits.values():
-            ends = {fc.brick_a.brick_id, fc.brick_b.brick_id}
-            if ends == {brick_a.brick_id, brick_b.brick_id}:
-                return fc
-        return None
+        circuits = self._inter_pairs.get(
+            pair_key(brick_a.brick_id, brick_b.brick_id))
+        return circuits[0] if circuits else None
 
     def circuits_of(self, brick: Brick) -> list[FabricCircuit]:
         rack_id = self.rack_id_of(brick)

@@ -29,11 +29,11 @@ at window barriers    attached to the barrier reply whenever the pod
                       scores placements from the cached copies.
 ====================  =================================================
 
-Everything here is a frozen dataclass of numbers and strings.  Sim
-objects (:class:`~repro.sim.engine.Event`, simulators, control planes)
-refuse pickling by design, so a protocol regression — someone slipping
-a live object into a message — fails loudly at the pipe, not silently
-in a worker.  The two functions both ports share — :func:`plane_payload`
+Everything here is a frozen dataclass or a named tuple of numbers and
+strings.  Sim objects (:class:`~repro.sim.engine.Event`, simulators,
+control planes) refuse pickling by design, so a protocol regression —
+someone slipping a live object into a message — fails loudly at the
+pipe, not silently in a worker.  The two functions both ports share — :func:`plane_payload`
 (a request's ``plane.submit`` keywords) and :func:`measure_pod` (the
 load measurement) — live here too, so either port sees the same
 requests and the same numbers.
@@ -42,6 +42,7 @@ requests and the same numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.orchestration.requests import VmAllocationRequest
 
@@ -126,14 +127,15 @@ class DrainedReply:
     vcpus: int = 0
 
 
-@dataclass(frozen=True)
-class PodStatus:
-    """One pod's load, as :func:`measure_pod` reads it.
+class PodStatus(NamedTuple):
+    """One pod's load, as :func:`measure_pod` reads it (immutable).
 
     The quantities :meth:`~repro.federation.placer.GlobalPlacer.
     snapshot` scores, plus the utilization/idleness the rebalancer's
     planning needs — everything coordinator-side policy consumes, so
-    no policy ever needs a live object from another process.
+    no policy ever needs a live object from another process.  A named
+    tuple, not a frozen dataclass: the placer measures a pod about
+    three times per tenant, and a tuple builds in half the time.
     """
 
     free_memory_bytes: int

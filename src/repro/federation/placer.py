@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from repro.errors import FederationError
 
@@ -39,9 +39,9 @@ from repro.errors import FederationError
 SPILL_POLICIES = ("never", "first-fit", "least-loaded")
 
 
-@dataclass(frozen=True)
-class PodSnapshot:
-    """One pod's load, as the global placer sees it."""
+class PodSnapshot(NamedTuple):
+    """One pod's load, as the global placer sees it (immutable; a
+    named tuple, like :class:`~repro.federation.messages.PodStatus`)."""
 
     pod_id: str
     #: Free bytes across the pod's healthy memory bricks (registry view).

@@ -85,10 +85,9 @@ class CircuitManager:
                         switch_port: Optional[int] = None) -> int:
         """Fibre an endpoint into the switch; returns the port used."""
         if switch_port is None:
-            free = self.switch.free_attachment_ports()
-            if not free:
+            switch_port = self.switch.first_free_attachment_port()
+            if switch_port is None:
                 raise CircuitError("switch has no free port for attachment")
-            switch_port = free[0]
         self.switch.attach(switch_port, endpoint_label)
         self._launch_dbm[endpoint_label] = launch_dbm
         return switch_port

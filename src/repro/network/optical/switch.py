@@ -59,6 +59,9 @@ class OpticalCircuitSwitch:
         self.switching_time_s = switching_time_s
         self._cross_connects: dict[int, int] = {}
         self._attachments: dict[int, str] = {}
+        #: label -> the port :meth:`port_of` returns: the first port, in
+        #: ``_attachments`` order, carrying that label.
+        self._port_of_label: dict[str, int] = {}
         self.reconfigurations = 0
 
     @classmethod
@@ -77,6 +80,7 @@ class OpticalCircuitSwitch:
             raise CircuitError(
                 f"port {port} already carries {self._attachments[port]!r}")
         self._attachments[port] = endpoint_label
+        self._port_of_label.setdefault(endpoint_label, port)
 
     def detach(self, port: int) -> str:
         """Remove the attachment on *port*; the port must be unconnected."""
@@ -85,7 +89,15 @@ class OpticalCircuitSwitch:
             raise CircuitError(f"port {port} is cross-connected; disconnect first")
         if port not in self._attachments:
             raise CircuitError(f"port {port} has no attachment")
-        return self._attachments.pop(port)
+        label = self._attachments.pop(port)
+        if self._port_of_label[label] == port:
+            # The next port carrying the same label, if any, takes over.
+            del self._port_of_label[label]
+            for other, other_label in self._attachments.items():
+                if other_label == label:
+                    self._port_of_label[label] = other
+                    break
+        return label
 
     def attachment(self, port: int) -> Optional[str]:
         """Label attached to *port*, or ``None``."""
@@ -94,14 +106,24 @@ class OpticalCircuitSwitch:
 
     def port_of(self, endpoint_label: str) -> int:
         """The port carrying *endpoint_label*."""
-        for port, label in self._attachments.items():
-            if label == endpoint_label:
-                return port
-        raise CircuitError(f"{endpoint_label!r} is not attached to this switch")
+        port = self._port_of_label.get(endpoint_label)
+        if port is None:
+            raise CircuitError(
+                f"{endpoint_label!r} is not attached to this switch")
+        return port
 
     def free_attachment_ports(self) -> list[int]:
         """Ports with no attachment at all (available for new fibres)."""
         return [p for p in range(self.port_count) if p not in self._attachments]
+
+    def first_free_attachment_port(self) -> Optional[int]:
+        """The lowest port with no attachment, or ``None`` when every
+        port carries one."""
+        attachments = self._attachments
+        for port in range(self.port_count):
+            if port not in attachments:
+                return port
+        return None
 
     # -- cross-connects ---------------------------------------------------------------
 

@@ -63,6 +63,32 @@ class FabricCircuit:
             f"brick {brick.brick_id} is not an endpoint of {self.circuit_id}")
 
 
+def pair_key(brick_id_a: str, brick_id_b: str) -> tuple[str, str]:
+    """The unordered brick-id pair as a dict key."""
+    if brick_id_a <= brick_id_b:
+        return brick_id_a, brick_id_b
+    return brick_id_b, brick_id_a
+
+
+def pair_index_add(index: dict, circuit: FabricCircuit) -> None:
+    """File *circuit* last under its brick pair in *index*."""
+    index.setdefault(pair_key(circuit.brick_a.brick_id,
+                              circuit.brick_b.brick_id), []).append(circuit)
+
+
+def pair_index_discard(index: dict, circuit: FabricCircuit) -> None:
+    """Drop *circuit* from its brick pair in *index*."""
+    key = pair_key(circuit.brick_a.brick_id, circuit.brick_b.brick_id)
+    circuits = index[key]
+    # By identity: FabricCircuit's dataclass equality compares fields.
+    for position, filed in enumerate(circuits):
+        if filed is circuit:
+            del circuits[position]
+            break
+    if not circuits:
+        del index[key]
+
+
 class OpticalFabric:
     """The rack's software-defined optical interconnect."""
 
@@ -74,6 +100,8 @@ class OpticalFabric:
             self.switch, receiver=receiver, fibre_length_m=fibre_length_m)
         self._attached_bricks: dict[str, Brick] = {}
         self._fabric_circuits: dict[str, FabricCircuit] = {}
+        #: Live circuits by unordered brick-id pair, oldest first.
+        self._pair_circuits: dict[tuple[str, str], list[FabricCircuit]] = {}
 
     # -- wiring --------------------------------------------------------------------
 
@@ -118,6 +146,7 @@ class OpticalFabric:
         port_a.connect(port_b)
         fabric_circuit = FabricCircuit(circuit, brick_a, port_a, brick_b, port_b)
         self._fabric_circuits[circuit.circuit_id] = fabric_circuit
+        pair_index_add(self._pair_circuits, fabric_circuit)
         return fabric_circuit
 
     def connect_channels(self, brick_a: Brick, channel_a: int,
@@ -144,6 +173,7 @@ class OpticalFabric:
         port_a.connect(port_b)
         fabric_circuit = FabricCircuit(circuit, brick_a, port_a, brick_b, port_b)
         self._fabric_circuits[circuit.circuit_id] = fabric_circuit
+        pair_index_add(self._pair_circuits, fabric_circuit)
         return fabric_circuit
 
     def disconnect(self, fabric_circuit: FabricCircuit) -> None:
@@ -153,7 +183,8 @@ class OpticalFabric:
             raise CircuitError(f"unknown fabric circuit {circuit_id!r}")
         self.manager.teardown(circuit_id)
         fabric_circuit.port_a.disconnect()
-        del self._fabric_circuits[circuit_id]
+        pair_index_discard(self._pair_circuits,
+                           self._fabric_circuits.pop(circuit_id))
 
     def can_connect(self, brick_a: Brick, brick_b: Brick) -> bool:
         """Can traffic flow between the two bricks?
@@ -170,12 +201,11 @@ class OpticalFabric:
 
     def circuit_between(self, brick_a: Brick,
                         brick_b: Brick) -> Optional[FabricCircuit]:
-        """An active circuit joining the two bricks, if one exists."""
-        for fc in self._fabric_circuits.values():
-            ends = {fc.brick_a.brick_id, fc.brick_b.brick_id}
-            if ends == {brick_a.brick_id, brick_b.brick_id}:
-                return fc
-        return None
+        """The oldest active circuit joining the two bricks, if one
+        exists."""
+        circuits = self._pair_circuits.get(
+            pair_key(brick_a.brick_id, brick_b.brick_id))
+        return circuits[0] if circuits else None
 
     def circuits_of(self, brick: Brick) -> list[FabricCircuit]:
         """All active circuits touching *brick*."""

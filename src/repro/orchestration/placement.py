@@ -175,34 +175,37 @@ class PowerAwarePackingPolicy:
                             size_bytes: int,
                             origin_rack_id: Optional[str] = None
                             ) -> Optional[str]:
-        fitting = [c for c in candidates if _memory_fits(c, size_bytes)]
-        if not fitting:
-            return None
-        fitting.sort(key=lambda c: (
-            rack_distance(c.rack_id, origin_rack_id),  # stay in-rack
-            self._hot_rank(c.brick_id),  # co-locate with hot segments
-            not c.powered,            # powered bricks first
-            -c.utilization,           # pack the fullest
-            c.largest_span_bytes,     # then tightest fitting span
-            c.brick_id,               # deterministic tie-break
-        ))
-        return fitting[0].brick_id
+        def key(c: MemoryAvailability) -> tuple:
+            return (
+                rack_distance(c.rack_id, origin_rack_id),  # stay in-rack
+                self._hot_rank(c.brick_id),  # co-locate with hot segments
+                not c.powered,            # powered bricks first
+                -c.utilization,           # pack the fullest
+                c.largest_span_bytes,     # then tightest fitting span
+                c.brick_id,               # deterministic tie-break
+            )
+        # min(), not a sort: every key ends in the unique brick id, so
+        # the least key is the brick a sort would put first.
+        best = min((c for c in candidates if _memory_fits(c, size_bytes)),
+                   key=key, default=None)
+        return None if best is None else best.brick_id
 
     def select_compute_brick(self, candidates: Sequence[ComputeAvailability],
                              vcpus: int, ram_bytes: int,
                              origin_rack_id: Optional[str] = None
                              ) -> Optional[str]:
-        fitting = [c for c in candidates if _compute_fits(c, vcpus, ram_bytes)]
-        if not fitting:
-            return None
-        fitting.sort(key=lambda c: (
-            rack_distance(c.rack_id, origin_rack_id),
-            not c.powered,
-            not c.hosts_vms,          # co-locate with existing VMs
-            c.free_cores,             # tightest core fit
-            c.brick_id,
-        ))
-        return fitting[0].brick_id
+        def key(c: ComputeAvailability) -> tuple:
+            return (
+                rack_distance(c.rack_id, origin_rack_id),
+                not c.powered,
+                not c.hosts_vms,          # co-locate with existing VMs
+                c.free_cores,             # tightest core fit
+                c.brick_id,
+            )
+        best = min((c for c in candidates
+                    if _compute_fits(c, vcpus, ram_bytes)),
+                   key=key, default=None)
+        return None if best is None else best.brick_id
 
 
 class SpreadPolicy:
@@ -216,18 +219,15 @@ class SpreadPolicy:
                             size_bytes: int,
                             origin_rack_id: Optional[str] = None
                             ) -> Optional[str]:
-        fitting = [c for c in candidates if _memory_fits(c, size_bytes)]
-        if not fitting:
-            return None
-        fitting.sort(key=lambda c: (-c.free_bytes, c.brick_id))
-        return fitting[0].brick_id
+        best = min((c for c in candidates if _memory_fits(c, size_bytes)),
+                   key=lambda c: (-c.free_bytes, c.brick_id), default=None)
+        return None if best is None else best.brick_id
 
     def select_compute_brick(self, candidates: Sequence[ComputeAvailability],
                              vcpus: int, ram_bytes: int,
                              origin_rack_id: Optional[str] = None
                              ) -> Optional[str]:
-        fitting = [c for c in candidates if _compute_fits(c, vcpus, ram_bytes)]
-        if not fitting:
-            return None
-        fitting.sort(key=lambda c: (-c.free_cores, c.brick_id))
-        return fitting[0].brick_id
+        best = min((c for c in candidates
+                    if _compute_fits(c, vcpus, ram_bytes)),
+                   key=lambda c: (-c.free_cores, c.brick_id), default=None)
+        return None if best is None else best.brick_id

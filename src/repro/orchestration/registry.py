@@ -221,19 +221,36 @@ class ResourceRegistry:
 
     def compute_availability(self) -> list[ComputeAvailability]:
         """Free capacity of every healthy compute brick."""
-        self._refresh()
+        if self._stale or self._dirty_compute:
+            self._refresh_compute()
         return list(self._compute_view)
 
     def memory_availability(self) -> list[MemoryAvailability]:
         """Free capacity of every healthy memory brick."""
-        self._refresh()
+        if self._stale or self._dirty_memory:
+            self._refresh_memory()
         return list(self._memory_view)
 
     def fragmentations(self) -> list[float]:
         """Free-space fragmentation of every non-failed memory brick,
         placeable or not, in registration order."""
-        self._refresh()
+        if self._stale or self._dirty_memory:
+            self._refresh_memory()
         return list(self._fragmentations)
+
+    def mean_fragmentation(self) -> float:
+        """Mean of :meth:`fragmentations` (0.0 with no brick), summed
+        left to right in registration order.  Not ``sum()``: Python
+        >= 3.12 compensates float sums."""
+        if self._stale or self._dirty_memory:
+            self._refresh_memory()
+        fragmentations = self._fragmentations
+        if not fragmentations:
+            return 0.0
+        total = 0.0
+        for value in fragmentations:
+            total += value
+        return total / len(fragmentations)
 
     def pod_load(self) -> PodLoad:
         """The pod's :class:`PodLoad`, from the running totals."""
@@ -254,6 +271,18 @@ class ResourceRegistry:
     def _refresh(self) -> None:
         """Bring the views and totals up to date: recount everything
         when stale, else rebuild only the bricks reported dirty."""
+        self._refresh_compute()
+        self._refresh_memory()
+
+    # A read refreshes only the kind it serves.  That is exact: every
+    # input of a snapshot fires its brick's change callback, so a brick
+    # stays dirty until a read of its kind, which then snapshots the
+    # same state a refresh at the time of any earlier read would have
+    # left unchanged since.
+
+    def _refresh_compute(self) -> None:
+        """Recount everything when stale, else rebuild the dirty
+        compute bricks."""
         if self._stale:
             self._recount()
             return
@@ -267,6 +296,13 @@ class ResourceRegistry:
                                          - view[slot].free_cores)
                     view[slot] = snapshot
             self._dirty_compute.clear()
+
+    def _refresh_memory(self) -> None:
+        """Recount everything when stale, else rebuild the dirty
+        memory bricks."""
+        if self._stale:
+            self._recount()
+            return
         if self._dirty_memory:
             pool_free = self._pool_free
             for brick_id, entry in self._dirty_memory.items():

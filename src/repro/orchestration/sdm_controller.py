@@ -43,7 +43,7 @@ included.  Use the process API on a shared context to study contention.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import PlacementError, ReproError, ReservationError
@@ -216,7 +216,8 @@ ShardedSdmController`, the class builders make, adds the reservation
         critical_s = ticket.control_latency_s
         if not charge_config:
             critical_s -= self.timings.config_generation_s
-            ticket = replace(ticket, control_latency_s=critical_s)
+            ticket = AttachTicket(ticket.segment, ticket.rmst_entry,
+                                  critical_s)
         return ticket, critical_s
 
     def _allocate_from_candidates(self, compute_entry, vm_id: str,

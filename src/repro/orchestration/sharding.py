@@ -151,8 +151,11 @@ class ShardedSdmController(SdmController):
         responsibility — its racks are simply unmanaged until repair
         (see :meth:`rack_is_served`).
         """
-        shard = self._shard_map().get(rack_id, "shard0")
-        if self._failed_shards.get(shard, False):
+        # _shard_map() inlined: this runs per candidate rack and scope.
+        if self.registry.brick_count != self._mapped_brick_count:
+            self._shard_map()
+        shard = self._rack_to_shard.get(rack_id, "shard0")
+        if self._failed_shards and self._failed_shards.get(shard, False):
             return self._takeover_shard(rack_id)
         return shard
 
@@ -289,10 +292,11 @@ class ShardedSdmController(SdmController):
         argument that makes the two-phase reserve deadlock-free.
         """
         token = []
-        for name in sorted(set(shards)):
-            domain_name = SHARD_DOMAIN_PREFIX + name
-            grant = yield from ctx.enter_domain(domain_name, label)
-            token.append((name, ctx.domain(domain_name), grant))
+        # One shard (the common case) needs no ordering.
+        for name in shards if len(shards) == 1 else sorted(set(shards)):
+            grant = yield from ctx.enter_domain(
+                SHARD_DOMAIN_PREFIX + name, label)
+            token.append((name, grant.resource, grant))
         return tuple(token)
 
     def reserve_scope(self, ctx: ControlContext, label: str,

@@ -58,7 +58,10 @@ class ControlContext:
     @property
     def total_reservation_queue_depth(self) -> int:
         """Waiters across every named domain."""
-        return sum(r.queue_length for r in self._domains.values())
+        depth = 0
+        for resource in self._domains.values():
+            depth += len(resource._queue)
+        return depth
 
     def domain(self, name: str) -> Resource:
         """The named reservation domain, lazily created on first use.
@@ -84,10 +87,16 @@ class ControlContext:
         ``<name>:<label>``, and returns the grant the caller must pass
         to ``ctx.domain(name).release`` (in a ``finally``).
         """
-        enqueued = self.sim.now
-        grant: Request = yield from self.domain(name).acquire()
+        sim = self.sim
+        enqueued = sim._now
+        resource = self._domains.get(name)
+        if resource is None:
+            resource = self.domain(name)
+        # Resource.acquire() inlined: one generator frame fewer per grant.
+        grant: Request = resource.request()
+        yield grant
         self.tracer.record(RESERVE_WAIT, f"{name}:{label}",
-                           self.sim.now - enqueued)
+                           sim._now - enqueued)
         return grant
 
 

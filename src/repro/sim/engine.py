@@ -88,7 +88,14 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self.sim.schedule(self, delay=delay)
+        sim = self.sim
+        if delay:
+            sim.schedule(self, delay=delay)
+        else:
+            # The zero-delay fast path: what schedule() does once its
+            # checks pass, which a zero delay always does.
+            sim._sequence = sequence = sim._sequence + 1
+            sim._queue.push(sim._now + delay, sequence, self)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -133,10 +140,16 @@ class Timeout(Event):
         if not (delay >= 0) or delay == _INF:
             raise SimulationError(
                 f"timeout delay must be finite and >= 0, got {delay}")
-        super().__init__(sim)
-        self._triggered = True
+        # Event.__init__ and schedule() inlined: the delay is checked
+        # above, and timeouts are the kernel's most frequent event.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim.schedule(self, delay=delay)
+        self._ok = True
+        self._triggered = True
+        self._processed = False
+        sim._sequence = sequence = sim._sequence + 1
+        sim._queue.push(sim._now + delay, sequence, self)
 
 
 ProcessGenerator = Generator[Event, Any, Any]
@@ -157,7 +170,13 @@ class Process(Event):
         if not hasattr(generator, "send"):
             raise SimulationError(
                 f"process requires a generator, got {type(generator).__name__}")
-        super().__init__(sim)
+        # Event.__init__ inlined (a process is started per request).
+        self.sim = sim
+        self.callbacks = []
+        self._value = Event.PENDING
+        self._ok = True
+        self._triggered = False
+        self._processed = False
         self._generator = generator
         # Bootstrap: resume the generator at the current simulation time.
         bootstrap = Event(sim)

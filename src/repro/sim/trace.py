@@ -10,13 +10,11 @@ reservation critical sections record their queueing delays here
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One timestamped observation.
+class TraceRecord(NamedTuple):
+    """One timestamped observation (immutable).
 
     Attributes:
         time: Simulated time of the observation, in seconds.
