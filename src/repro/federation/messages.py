@@ -33,10 +33,10 @@ Everything here is a frozen dataclass or a named tuple of numbers and
 strings.  Sim objects (:class:`~repro.sim.engine.Event`, simulators,
 control planes) refuse pickling by design, so a protocol regression —
 someone slipping a live object into a message — fails loudly at the
-pipe, not silently in a worker.  The two functions both ports share — :func:`plane_payload`
-(a request's ``plane.submit`` keywords) and :func:`measure_pod` (the
-load measurement) — live here too, so either port sees the same
-requests and the same numbers.
+pipe, not silently in a worker.  The two functions both ports share —
+:func:`plane_payload` (a request's ``plane.submit`` keywords) and
+:func:`measure_pod` (the load measurement) — live here too, so either
+port sees the same requests and the same numbers.
 """
 
 from __future__ import annotations
